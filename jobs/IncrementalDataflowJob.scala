@@ -18,7 +18,7 @@ object IncrementalDataflowJob {
     val size   = args.lift(3).map(_.toInt).getOrElse(5)
     val seed   = args.lift(4).map(_.toLong).getOrElse(42L)
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-incremental-dataflow")
       .getOrCreate()

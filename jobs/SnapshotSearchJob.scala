@@ -17,7 +17,7 @@ object SnapshotSearchJob {
     val size   = args.lift(2).map(_.toInt).getOrElse(6)
     val seed   = args.lift(3).map(_.toLong).getOrElse(42L)
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro-snapshot-search")
       .getOrCreate()

@@ -31,8 +31,6 @@ final class SJTree(val q: QueryGraph, val workCap: Long = 0L) extends EngineApi 
   private val leaves = Array.fill(kk)(mutable.ArrayBuffer[StreamEdge]())
   private val nodes  = Array.fill(kk)(mutable.ArrayBuffer[IndexedSeq[StreamEdge]]())
 
-  private def prefixIds(p: Int): IndexedSeq[Int] = order.take(p + 1)
-
   override def insert(sigma: StreamEdge): Vector[Matching.Match] = {
     val out  = Vector.newBuilder[Matching.Match]
     var work = 0L

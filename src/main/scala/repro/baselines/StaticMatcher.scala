@@ -173,7 +173,7 @@ final class TurboIso extends BacktrackingMatcher {
   override protected def searchOrder(q: QueryGraph, first: Option[Int], freq: Map[Int, Int]) = {
     // BFS over query edges from the start edge (region exploration order).
     val start     = first.getOrElse(q.edges.map(_.id).minBy(e => (freq(e), e)))
-    val remaining = mutable.Set[Int](q.edges.map(_.id): _*) - start
+    val remaining = mutable.Set[Int](q.edges.map(_.id): _*) -= start
     val out       = mutable.ArrayBuffer(start)
     var frontier  = 0
     while (remaining.nonEmpty) {

@@ -82,12 +82,18 @@ final class ConcurrentEngine(
 /** Sliding-window driver for the concurrent engines: expiries and the
   * insertion of each arriving edge are dispatched in chronological order,
   * exactly like [[repro.core.WindowDriver]] does for the serial engine.
+  * Like it, it rejects an edge whose timestamp is not after the previous
+  * one (Definition 1).
   */
 final class ConcurrentWindowDriver(val ce: ConcurrentEngine, val window: Long) {
 
-  private val live = mutable.Queue[StreamEdge]()
+  private val live   = mutable.Queue[StreamEdge]()
+  private var lastTs = Long.MinValue
 
   def advance(sigma: StreamEdge): Unit = {
+    require(sigma.ts > lastTs,
+      s"edge ${sigma.id}: timestamp ${sigma.ts} is not after $lastTs (Definition 1)")
+    lastTs = sigma.ts
     while (live.nonEmpty && live.head.ts <= sigma.ts - window)
       ce.submitDelete(live.dequeue())
     live += sigma

@@ -13,16 +13,13 @@ final case class StoredMatch(ref: AnyRef, edges: IndexedSeq[StreamEdge])
   * timing sequence (§III-A3). Items are 0-based here: item `j` holds the
   * matches of the prerequisite subquery of the `(j+1)`-th sequence edge.
   *
-  * Implementations: [[MsChainStore]] (MS-tree, §IV) and [[IndChainStore]]
+  * Implementations: [[MsChainStore]] (MS-tree, §IV) and [[IndStore]]
   * (independent match storage — the Timing-IND ablation).
   */
 trait ChainStore {
 
-  /** Query-edge ids in timing-sequence order. */
-  def seq: IndexedSeq[Int]
-
-  /** Number of items (= |seq|). */
-  final def k: Int = seq.length
+  /** Number of items (= the length of the timing sequence). */
+  def numLevels: Int
 
   /** Ω(L^{j+1}): live matches of item `j` (materialized snapshot). */
   def read(j: Int): Vector[StoredMatch]
@@ -39,29 +36,21 @@ trait ChainStore {
     * 0-based positions. The caller must invoke `processLevel(j)` for
     * j = 0..k-1 in order (each under the item's X lock when concurrent).
     */
-  def newExpiry(sigma: StreamEdge, triggers: Set[Int]): ChainExpiry
+  def newExpiry(sigma: StreamEdge, triggers: Set[Int]): Expiry
 
   /** Number of live matches in item `j`. */
   def size(j: Int): Int
 
   /** Space in cells (see DESIGN.md §5, space accounting). */
   def spaceCells: Long
-
-  /** Liveness of a complete-match ref (used by the L0 MS-tree). */
-  def isLive(ref: AnyRef): Boolean
-
-  /** Materialize a complete match (item k-1) from its ref. */
-  def materialize(ref: AnyRef): IndexedSeq[StreamEdge]
 }
 
-/** Level-stepped expiry cursor (Algorithm 2, restructured so each level's
-  * work happens under that item's lock — required by §V-C).
+/** Level-stepped expiry cursor over an expansion list (Algorithm 2,
+  * restructured so each level's work happens under that item's lock —
+  * required by §V-C).
   */
-trait ChainExpiry {
+trait Expiry {
 
   /** Remove expired matches at level `j`; returns how many were removed. */
   def processLevel(j: Int): Int
-
-  /** Complete matches (last level) removed so far by this pass. */
-  def removedCompleteCount: Int
 }

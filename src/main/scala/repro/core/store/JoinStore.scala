@@ -1,12 +1,13 @@
 package repro.core.store
 
-import scala.collection.mutable
 import repro.core.StreamEdge
 
 /** Storage for the expansion list `L_0` over a decomposition
   * `{Q^1..Q^k}` (§III-B). Item `i` (0-based) holds the joined matches of
   * subqueries `0..i`; a stored match's `edges` are the concatenation of
   * the subqueries' timing sequences (`Decomposition.prefixEdges`).
+  *
+  * Implementations: [[MsJoinStore]] (MS-tree, §IV) and [[IndStore]].
   */
 trait JoinStore {
 
@@ -26,15 +27,10 @@ trait JoinStore {
     * `subIdx`; the caller invokes `processLevel(i)` for i = subIdx..k-1 in
     * order (each under the item's X lock when concurrent).
     */
-  def newExpiry(sigma: StreamEdge, subIdx: Int): JoinExpiry
+  def newExpiry(sigma: StreamEdge, subIdx: Int): Expiry
 
   def size(i: Int): Int
   def spaceCells: Long
-}
-
-/** Level-stepped expiry over `L_0` (Algorithm 2 line 7). */
-trait JoinExpiry {
-  def processLevel(i: Int): Int
 }
 
 /** MS-tree-backed `L_0`: node payloads are *references* to the leaf nodes
@@ -42,88 +38,33 @@ trait JoinExpiry {
   * is never re-stored). Expired entries are found by scanning item
   * `subIdx` for dead leaf references, as Algorithm 2 prescribes.
   */
-final class MsJoinStore(chains: IndexedSeq[ChainStore]) extends JoinStore {
+final class MsJoinStore(override val numLevels: Int) extends JoinStore {
 
-  override val numLevels: Int = chains.length
+  private val tree = new MsTree[MsNode[StreamEdge]](numLevels)
 
-  private val tree = new MsTree[AnyRef](numLevels)
+  private def leaf(sub: StoredMatch): MsNode[StreamEdge] = sub.ref.asInstanceOf[MsNode[StreamEdge]]
 
   override def read(i: Int): Vector[StoredMatch] =
     tree.levelNodes(i).map(n => StoredMatch(n, n.cachedPath.asInstanceOf[IndexedSeq[StreamEdge]]))
 
   override def insertRoot(sub: StoredMatch): StoredMatch = {
-    val n = tree.add(null, sub.ref, 0)
+    val n = tree.add(null, leaf(sub), 0)
     n.cachedPath = sub.edges
     StoredMatch(n, sub.edges)
   }
 
   override def extend(i: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val p     = parent.ref.asInstanceOf[MsNode[AnyRef]]
-    val n     = tree.add(p, sub.ref, i)
+    val p     = parent.ref.asInstanceOf[MsNode[MsNode[StreamEdge]]]
+    val n     = tree.add(p, leaf(sub), i)
     val edges = parent.edges ++ sub.edges
     n.cachedPath = edges
     StoredMatch(n, edges)
   }
 
-  override def newExpiry(sigma: StreamEdge, subIdx: Int): JoinExpiry =
-    new JoinExpiry {
-      private var removedPrev: List[MsNode[AnyRef]] = Nil
-
-      override def processLevel(i: Int): Int = {
-        val targets = mutable.ArrayBuffer[MsNode[AnyRef]]()
-        removedPrev.foreach(n => targets ++= n.children)
-        if (i == subIdx)
-          targets ++= tree.levelNodes(i).filterNot(n => chains(subIdx).isLive(n.payload))
-        val removed = targets.filter(_.alive).toList
-        removed.foreach(tree.partialRemove)
-        removedPrev = removed
-        removed.size
-      }
-    }
+  override def newExpiry(sigma: StreamEdge, subIdx: Int): Expiry =
+    tree.sweep(i => if (i == subIdx) tree.levelNodes(i).filterNot(_.payload.alive) else Nil)
 
   override def size(i: Int): Int = tree.levelSize(i)
 
   override def spaceCells: Long = tree.liveCount
-}
-
-/** Independent-storage `L_0` (Timing-IND): joined matches are materialized
-  * fully; expiry scans every item from `subIdx` on for σ membership.
-  */
-final class IndJoinStore(override val numLevels: Int) extends JoinStore {
-
-  private val items: Array[mutable.ArrayBuffer[IndMatch]] =
-    Array.fill(numLevels)(mutable.ArrayBuffer())
-
-  override def read(i: Int): Vector[StoredMatch] =
-    items(i).iterator.map(m => StoredMatch(m, m.edges)).toVector
-
-  override def insertRoot(sub: StoredMatch): StoredMatch = {
-    val m = new IndMatch(sub.edges)
-    items(0) += m
-    StoredMatch(m, m.edges)
-  }
-
-  override def extend(i: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val m = new IndMatch(parent.edges ++ sub.edges)
-    items(i) += m
-    StoredMatch(m, m.edges)
-  }
-
-  override def newExpiry(sigma: StreamEdge, subIdx: Int): JoinExpiry =
-    new JoinExpiry {
-      override def processLevel(i: Int): Int = {
-        var removed = 0
-        items(i).filterInPlace { m =>
-          val expired = m.contains(sigma.id)
-          if (expired) { m.alive = false; removed += 1 }
-          !expired
-        }
-        removed
-      }
-    }
-
-  override def size(i: Int): Int = items(i).size
-
-  override def spaceCells: Long =
-    items.iterator.map(buf => buf.iterator.map(_.edges.length.toLong).sum).sum
 }

@@ -11,11 +11,11 @@ import repro.core.StreamEdge
   * Index buckets are filtered lazily for liveness; a bucket disappears
   * wholesale when its edge expires, so staleness is window-bounded.
   */
-final class MsChainStore(val seq: IndexedSeq[Int]) extends ChainStore {
+final class MsChainStore(override val numLevels: Int) extends ChainStore {
 
-  private val tree = new MsTree[StreamEdge](seq.length)
+  private val tree = new MsTree[StreamEdge](numLevels)
   private val index: Array[mutable.HashMap[Long, mutable.ArrayBuffer[MsNode[StreamEdge]]]] =
-    Array.fill(seq.length)(mutable.HashMap())
+    Array.fill(numLevels)(mutable.HashMap())
 
   private def register(n: MsNode[StreamEdge]): MsNode[StreamEdge] = {
     index(n.level).getOrElseUpdate(n.payload.id, mutable.ArrayBuffer()) += n
@@ -40,34 +40,10 @@ final class MsChainStore(val seq: IndexedSeq[Int]) extends ChainStore {
     StoredMatch(n, edges)
   }
 
-  override def newExpiry(sigma: StreamEdge, triggers: Set[Int]): ChainExpiry =
-    new ChainExpiry {
-      private var removedPrev: List[MsNode[StreamEdge]] = Nil
-      private var completes                             = 0
-
-      override def processLevel(j: Int): Int = {
-        val targets = mutable.ArrayBuffer[MsNode[StreamEdge]]()
-        // Children of nodes removed at level j-1 (read here, under lock j).
-        removedPrev.foreach(n => targets ++= n.children)
-        if (triggers(j))
-          index(j).remove(sigma.id).foreach(buf => targets ++= buf)
-        val removed = targets.filter(_.alive).toList
-        removed.foreach(tree.partialRemove)
-        removedPrev = removed
-        if (j == seq.length - 1) completes += removed.size
-        removed.size
-      }
-
-      override def removedCompleteCount: Int = completes
-    }
+  override def newExpiry(sigma: StreamEdge, triggers: Set[Int]): Expiry =
+    tree.sweep(j => if (triggers(j)) index(j).remove(sigma.id).getOrElse(Nil) else Nil)
 
   override def size(j: Int): Int = tree.levelSize(j)
 
   override def spaceCells: Long = tree.liveCount
-
-  override def isLive(ref: AnyRef): Boolean =
-    ref.asInstanceOf[MsNode[StreamEdge]].alive
-
-  override def materialize(ref: AnyRef): IndexedSeq[StreamEdge] =
-    ref.asInstanceOf[MsNode[StreamEdge]].cachedPath.asInstanceOf[IndexedSeq[StreamEdge]]
 }

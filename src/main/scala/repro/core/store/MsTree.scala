@@ -86,6 +86,24 @@ final class MsTree[P](val numLevels: Int) {
     counts.decrementAndGet(n.level)
   }
 
+  /** Algorithm 2's level sweep: at each level, partially remove the live
+    * children of the nodes removed one level up, plus the live `seeds` of
+    * that level. The caller steps through the levels in order.
+    */
+  def sweep(seeds: Int => Iterable[MsNode[P]]): Expiry = {
+    var removedPrev: List[MsNode[P]] = Nil
+    level => {
+      val targets = mutable.ArrayBuffer[MsNode[P]]()
+      // Children of nodes removed one level up (read here, under this level's lock).
+      removedPrev.foreach(n => targets ++= n.children)
+      targets ++= seeds(level)
+      val removed = targets.filter(_.alive).toList
+      removed.foreach(partialRemove)
+      removedPrev = removed
+      removed.size
+    }
+  }
+
   def levelSize(level: Int): Int = counts.get(level).toInt
 
   /** Live node count = MS-tree space in "cells" (§VII space metric). */

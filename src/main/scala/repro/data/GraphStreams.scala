@@ -41,7 +41,7 @@ object GraphStreams {
     val ports = new Zipf(nPorts, 1.2, rnd)
     val hosts = new Zipf(nHosts, 0.6, rnd)
     (1 to n).map { t =>
-      var a = hosts.sample() - 1
+      val a = hosts.sample() - 1
       var b = hosts.sample() - 1
       while (b == a) b = hosts.sample() - 1
       val port  = ports.sample()
@@ -58,7 +58,7 @@ object GraphStreams {
     val users = new Zipf(nUsers, 0.8, rnd)
     def lbl(u: Long): String = ('a' + (((u * 2654435761L) % 26 + 26) % 26).toInt).toChar.toString
     (1 to n).map { t =>
-      var a = users.sample() - 1
+      val a = users.sample() - 1
       var b = users.sample() - 1
       while (b == a) b = users.sample() - 1
       StreamEdge(t.toLong, a.toLong, lbl(a.toLong), b.toLong, lbl(b.toLong), "talk", t.toLong)

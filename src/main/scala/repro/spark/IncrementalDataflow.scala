@@ -38,9 +38,6 @@ final class IncrementalDataflow(
   private def emptyRenamed(p: Int): DataFrame =
     renamed(spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], EdgeStreams.schema), p)
 
-  private def prefixCols(j: Int): Seq[String] =
-    (0 to j).flatMap(p => EdgeStreams.schema.fieldNames.map(c => s"e${p}_$c"))
-
   private def emptyPrefix(j: Int): DataFrame = {
     var df = emptyRenamed(0)
     (1 to j).foreach(p => df = df.crossJoin(emptyRenamed(p)))

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.LockMode.{S, X}
+import repro.data.{GraphStreams, QueryGenerator}
 
 /** The pre-computed lock plans (§V-A's worst-case access lists) must match
   * the engine's actual access sequence — the concurrency layer enqueues
@@ -123,5 +124,49 @@ class EnginePlanSpec extends AnyFunSuite {
     val guard = new RecordingGuard(plan)
     eng.insert(ab, guard)
     assert(guard.cursor == plan.length)
+  }
+
+  test("work-capped inserts still consume their plans and report only valid matches") {
+    // A dense stream and a small cap: capped inserts abort their group like
+    // an empty join, so answers may be missing but never wrong.
+    val window = 40L
+    val stream = GraphStreams.traffic(300, 8, nPorts = 3, seed = 5)
+    val q = QueryGenerator.fromStream(stream, 4, QueryGenerator.RandomOrder, 11, window)
+      .getOrElse(fail("query generation failed"))
+    for (mode <- Seq(StoreMode.MsTree, StoreMode.Independent)) {
+      val eng = new TimingEngine(q, Decomposer.decompose(q), mode)
+      eng.workCap = 30L
+      // Every guarded call is checked against its own plan.
+      val planned = new EngineApi {
+        override def insert(sigma: StreamEdge): Vector[Matching.Match] = {
+          val plan  = eng.insertPlan(sigma)
+          val guard = new RecordingGuard(plan)
+          val out   = eng.insert(sigma, guard)
+          assert(guard.cursor == plan.length, s"insert plan of $sigma")
+          out
+        }
+        override def delete(sigma: StreamEdge): Unit = {
+          val plan  = eng.deletePlan(sigma)
+          val guard = new RecordingGuard(plan)
+          eng.delete(sigma, guard)
+          assert(guard.cursor == plan.length, s"delete plan of $sigma")
+        }
+        override def results: Vector[Matching.Match] = eng.results
+        override def spaceCells: Long                = eng.spaceCells
+      }
+      val driver = new WindowDriver(planned, window)
+      var reported = 0
+      stream.zipWithIndex.foreach { case (ed, step) =>
+        driver.advance(ed).foreach { m =>
+          reported += 1
+          assert(m.size == q.edges.size && Matching.isValidPartial(q, m), s"$mode reported $m")
+        }
+        if (step % 25 == 24) {
+          assert(keys(eng.results).subsetOf(bruteForce(q, driver.snapshot)), s"$mode at step $step")
+        }
+      }
+      assert(eng.cappedInserts.sum() > 0, s"$mode: the cap never bit")
+      assert(reported > 0, s"$mode: no match survived the cap")
+    }
   }
 }

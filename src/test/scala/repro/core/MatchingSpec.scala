@@ -105,7 +105,6 @@ class MatchingSpec extends AnyFunSuite {
 
   test("crossCompatible agrees with compatible on random splits") {
     val rnd = new scala.util.Random(13)
-    val vs  = Seq(va, vb, vc, vd, ve, vf)
     var agreeChecked = 0
     (1 to 5000).foreach { _ =>
       // random assignments over a split of the paper query's edges

@@ -100,7 +100,8 @@ class TimingEngineSpec extends AnyFunSuite {
         sizes.collectFirst { case (ItemKey(l, `lvl`), n) if l > 0 && n > 0 => n }
       }
       // level 2 of the {ε6,ε5,ε4} chain must hold 5 matches
-      assert(eng.chains.exists(c => c.seq == IndexedSeq(6, 5, 4) && c.size(2) == 5))
+      val i654 = eng.decomposition.subqueries.indexWhere(_.seq == IndexedSeq(6, 5, 4))
+      assert(i654 >= 0 && eng.chains(i654).size(2) == 5)
       assert(ds.size == 5 && chainOf654.nonEmpty)
     }
   }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.concurrent.{ConcurrentEngine, ConcurrentWindowDriver}
 
 class WindowDriverSpec extends AnyFunSuite {
   import Fixtures._
@@ -40,5 +41,26 @@ class WindowDriverSpec extends AnyFunSuite {
     assert(eng.results.size == 1)
     driver.run(paperEmbedding(20))      // ts 21..26: first batch fully expired
     assert(eng.results.size == 1, "only the fresh embedding remains")
+  }
+
+  test("equal and decreasing timestamps are rejected (Definition 1)") {
+    def paperEngine = new TimingEngine(paperQ, Decomposer.decompose(paperQ), StoreMode.MsTree)
+    val eng    = paperEngine
+    val driver = new WindowDriver(eng, window = 10)
+    driver.advance(e(va, vb, 5))
+    intercept[IllegalArgumentException](driver.advance(e(ve, vf, 5))) // equal
+    intercept[IllegalArgumentException](driver.advance(e(ve, vf, 4))) // decreasing
+    assert(driver.snapshot.map(_.ts) == Vector(5L), "rejected edges are not admitted")
+    assert(eng.spaceCells == 1, "rejected edges leave no partial match")
+
+    val conc = new ConcurrentEngine(paperEngine, nThreads = 1)
+    try {
+      val cd = new ConcurrentWindowDriver(conc, window = 10)
+      cd.advance(e(va, vb, 5))
+      intercept[IllegalArgumentException](cd.advance(e(ve, vf, 5)))
+      intercept[IllegalArgumentException](cd.advance(e(ve, vf, 4)))
+      conc.quiesce()
+      assert(conc.engine.spaceCells == 1)
+    } finally conc.shutdown()
   }
 }

@@ -11,16 +11,16 @@ class StoreSpec extends AnyFunSuite {
   private def edge(id: Long, ts: Long): StreamEdge =
     StreamEdge(id, id * 2, "A", id * 2 + 1, "B", "-", ts)
 
-  private def mkStores(seq: IndexedSeq[Int]): Seq[ChainStore] =
-    Seq(new MsChainStore(seq), new IndChainStore(seq))
+  private def mkStores(numLevels: Int): Seq[ChainStore] =
+    Seq(new MsChainStore(numLevels), new IndStore(numLevels))
 
   private def contents(s: ChainStore, j: Int): Set[Seq[Long]] =
     s.read(j).map(_.edges.map(_.id).toSeq).toSet
 
   test("insertRoot / extend / read round-trip on both backends") {
-    mkStores(IndexedSeq(6, 5, 4)).foreach { s =>
+    mkStores(3).foreach { s =>
       val r1 = s.insertRoot(edge(1, 1))
-      val r2 = s.insertRoot(edge(2, 2))
+      s.insertRoot(edge(2, 2))
       val m1 = s.extend(1, r1, edge(3, 3))
       s.extend(2, m1, edge(4, 4))
       s.extend(2, m1, edge(9, 9))
@@ -28,13 +28,11 @@ class StoreSpec extends AnyFunSuite {
       assert(contents(s, 1) == Set(Seq(1L, 3L)))
       assert(contents(s, 2) == Set(Seq(1L, 3L, 4L), Seq(1L, 3L, 9L)))
       assert(s.size(0) == 2 && s.size(1) == 1 && s.size(2) == 2)
-      assert(s.isLive(r2.ref))
-      assert(s.materialize(s.read(2).head.ref) == s.read(2).head.edges)
     }
   }
 
   test("MS-tree prefix sharing beats independent storage on cells") {
-    val Seq(ms, ind) = mkStores(IndexedSeq(6, 5, 4))
+    val Seq(ms, ind) = mkStores(3)
     Seq(ms, ind).foreach { s =>
       val r = s.insertRoot(edge(1, 1))
       val m = s.extend(1, r, edge(3, 3))
@@ -46,7 +44,7 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("expiry removes matches containing the edge, cascading to descendants") {
-    mkStores(IndexedSeq(6, 5, 4)).foreach { s =>
+    mkStores(3).foreach { s =>
       val r1 = s.insertRoot(edge(1, 1))
       s.insertRoot(edge(2, 2))
       val m1 = s.extend(1, r1, edge(3, 3))
@@ -55,38 +53,35 @@ class StoreSpec extends AnyFunSuite {
       val ex = s.newExpiry(edge(1, 1), triggers = Set(0))
       val removedPerLevel = (0 until 3).map(ex.processLevel)
       assert(removedPerLevel == Seq(1, 1, 2), s.getClass.getSimpleName)
-      assert(ex.removedCompleteCount == 2)
       assert(contents(s, 0) == Set(Seq(2L)))
       assert(contents(s, 1).isEmpty && contents(s, 2).isEmpty)
     }
   }
 
   test("expiry triggered at a middle level") {
-    mkStores(IndexedSeq(6, 5, 4)).foreach { s =>
+    mkStores(3).foreach { s =>
       val r1 = s.insertRoot(edge(1, 1))
       val m1 = s.extend(1, r1, edge(3, 3))
       s.extend(2, m1, edge(4, 4))
       val ex = s.newExpiry(edge(3, 3), triggers = Set(1))
       assert((0 until 3).map(ex.processLevel) == Seq(0, 1, 1))
-      assert(ex.removedCompleteCount == 1)
       assert(contents(s, 0) == Set(Seq(1L)))
       assert(contents(s, 1).isEmpty)
     }
   }
 
   test("expiry of an absent edge removes nothing") {
-    mkStores(IndexedSeq(6, 5)).foreach { s =>
+    mkStores(2).foreach { s =>
       s.insertRoot(edge(1, 1))
       val ex = s.newExpiry(edge(99, 99), triggers = Set(0, 1))
       assert((0 until 2).map(ex.processLevel).sum == 0)
-      assert(ex.removedCompleteCount == 0)
       assert(s.size(0) == 1)
     }
   }
 
   test("join stores mirror chain contents (Ms references, Ind materializes)") {
-    val chains = IndexedSeq[ChainStore](new MsChainStore(IndexedSeq(6, 5)), new MsChainStore(IndexedSeq(2)))
-    val js     = new MsJoinStore(chains)
+    val chains = IndexedSeq[ChainStore](new MsChainStore(2), new MsChainStore(1))
+    val js     = new MsJoinStore(2)
     val r      = chains(0).insertRoot(edge(1, 1))
     val c0     = chains(0).extend(1, r, edge(3, 3))
     val c1     = chains(1).insertRoot(edge(7, 7))
@@ -97,7 +92,7 @@ class StoreSpec extends AnyFunSuite {
     // Ms join store costs 1 cell per node (references, not copies)
     assert(js.spaceCells == 2)
 
-    val ind  = new IndJoinStore(2)
+    val ind  = new IndStore(2)
     val il0  = ind.insertRoot(c0)
     ind.extend(1, il0, c1)
     assert(ind.read(1).map(_.edges.map(_.id)) == Vector(Vector(1L, 3L, 7L)))
@@ -105,8 +100,8 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("MsJoinStore expiry follows dead chain leaves") {
-    val chains = IndexedSeq[ChainStore](new MsChainStore(IndexedSeq(6)), new MsChainStore(IndexedSeq(2)))
-    val js     = new MsJoinStore(chains)
+    val chains = IndexedSeq[ChainStore](new MsChainStore(1), new MsChainStore(1))
+    val js     = new MsJoinStore(2)
     val c0a    = chains(0).insertRoot(edge(1, 1))
     val c0b    = chains(0).insertRoot(edge(2, 2))
     val c1     = chains(1).insertRoot(edge(7, 7))
@@ -114,16 +109,15 @@ class StoreSpec extends AnyFunSuite {
     js.extend(1, js.insertRoot(c0b), c1)
     // expire edge 1 in chain 0
     val ex = chains(0).newExpiry(edge(1, 1), Set(0))
-    ex.processLevel(0)
-    assert(ex.removedCompleteCount == 1)
+    assert(ex.processLevel(0) == 1)
     val jex = js.newExpiry(edge(1, 1), subIdx = 0)
     assert(jex.processLevel(0) == 1)
     assert(jex.processLevel(1) == 1)
     assert(js.read(1).map(_.edges.map(_.id)) == Vector(Vector(2L, 7L)))
   }
 
-  test("IndJoinStore expiry scans by membership") {
-    val ind = new IndJoinStore(2)
+  test("IndStore expiry scans by membership") {
+    val ind = new IndStore(2)
     val a   = StoredMatch(null, Vector(edge(1, 1)))
     val b   = StoredMatch(null, Vector(edge(2, 2)))
     val c   = StoredMatch(null, Vector(edge(7, 7)))
@@ -138,7 +132,7 @@ class StoreSpec extends AnyFunSuite {
   test("paper MS-tree example sizes (Fig 10)") {
     // Matches {σ1}, {σ1σ3}, {σ1σ3σ4}, {σ1σ3σ9} stored in 4 nodes; the
     // independent layout needs 1+2+3+3 = 9 cells.
-    val Seq(ms, ind) = mkStores(IndexedSeq(6, 5, 4))
+    val Seq(ms, ind) = mkStores(3)
     Seq(ms, ind).foreach { s =>
       val r = s.insertRoot(edge(1, 1))
       val m = s.extend(1, r, edge(3, 3))

@@ -16,7 +16,7 @@ class IncrementalDataflowSpec extends SparkSpec {
     }.toSet
 
   private def runFlow(q: QueryGraph, stream: Vector[StreamEdge], window: Long, batch: Int,
-                      oracleOnFinal: Boolean = false): Unit = {
+                      oracleOnFinal: Boolean): Unit = {
     val flow   = new IncrementalDataflow(spark, q, window)
     val all    = EdgeStreams.toDf(spark, stream)
     var deltas = Set.empty[String]
