@@ -1,10 +1,12 @@
 package repro.spark
 
 import repro.core.QueryGraph
+import repro.spark.MatchPlan._
 
-/** Generates the DuckDB SQL equivalent of [[SnapshotMatcher.matches]], for
-  * `repro.Oracle.assertEquivalent`. The oracle stores every column as
-  * VARCHAR, so timestamp comparisons cast explicitly.
+/** Renders [[MatchPlan]] as the DuckDB SQL equivalent of
+  * [[SnapshotMatcher.matches]], for `repro.Oracle.assertEquivalent`. The
+  * oracle stores every column as VARCHAR, so timestamp comparisons cast
+  * explicitly.
   */
 object MatchSql {
 
@@ -14,41 +16,19 @@ object MatchSql {
     * Optional window bounds filter `lo < ts <= hi`.
     */
   def matchesSql(q: QueryGraph, table: String, window: Option[(Long, Long)] = None): String = {
-    val order = SnapshotMatcher.buildOrder(q)
-    val preds = scala.collection.mutable.ArrayBuffer[String]()
-    var bound = Map[Int, String]()
-
-    order.zipWithIndex.foreach { case (qeid, p) =>
-      val qe = q.edgeById(qeid)
-      val a  = s"e$p"
-      if (qe.label != "*") preds += s"$a.label = '${qe.label}'"
-      if (q.label(qe.src) != "*") preds += s"$a.src_label = '${q.label(qe.src)}'"
-      if (q.label(qe.dst) != "*") preds += s"$a.dst_label = '${q.label(qe.dst)}'"
-      preds += s"$a.src <> $a.dst"
-      window.foreach { case (lo, hi) =>
-        preds += s"CAST($a.ts AS BIGINT) > $lo AND CAST($a.ts AS BIGINT) <= $hi"
-      }
-      Seq(qe.src -> s"$a.src", qe.dst -> s"$a.dst").foreach { case (qv, c) =>
-        bound.foreach { case (bqv, bc) =>
-          preds += (if (bqv == qv) s"$bc = $c" else s"$bc <> $c")
-        }
-        if (!bound.contains(qv)) bound += qv -> c
-      }
-      (0 until p).foreach { pp =>
-        val prevId = order(pp)
-        preds += s"e$pp.id <> $a.id"
-        if (q.precedes(prevId, qeid))
-          preds += s"CAST(e$pp.ts AS BIGINT) < CAST($a.ts AS BIGINT)"
-        if (q.precedes(qeid, prevId))
-          preds += s"CAST($a.ts AS BIGINT) < CAST(e$pp.ts AS BIGINT)"
-      }
+    val plan = new MatchPlan(q)
+    def c(r: Ref) =
+      if (r.field == "ts") s"CAST(e${r.p}.ts AS BIGINT)" else s"e${r.p}.${r.field}"
+    val preds = plan.order.indices.flatMap(p => plan.local(p) ++ plan.cross(p)).map {
+      case Is(r, l) => s"${c(r)} = '${l.replace("'", "''")}'"
+      case Eq(a, b) => s"${c(a)} = ${c(b)}"
+      case Ne(a, b) => s"${c(a)} <> ${c(b)}"
+      case Lt(a, b) => s"${c(a)} < ${c(b)}"
+    } ++ window.toSeq.flatMap { case (lo, hi) =>
+      plan.order.indices.map(p => s"${c(Ref(p, "ts"))} > $lo AND ${c(Ref(p, "ts"))} <= $hi")
     }
-
-    val selects = q.edges.map(_.id).sorted.map { qeid =>
-      val p = order.indexOf(qeid)
-      s"e$p.id AS m_$qeid"
-    }
-    val from = order.indices.map(p => s"$table e$p").mkString(", ")
+    val selects = plan.outputs.map { case (qeid, p) => s"e$p.id AS m_$qeid" }
+    val from    = plan.order.indices.map(p => s"$table e$p").mkString(", ")
     s"SELECT ${selects.mkString(", ")} FROM $from WHERE ${preds.mkString(" AND ")}"
   }
 }

@@ -3,70 +3,45 @@ package repro.spark
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.core.{QueryGraph, TimingSequence}
+import repro.core.QueryGraph
+import repro.spark.MatchPlan._
 
 /** Declarative time-constrained subgraph matching over a snapshot
   * DataFrame — the Catalyst reference implementation.
   *
-  * One self-join per query edge in a prefix-connected order, with label
-  * filters, shared-vertex equality, vertex-injectivity and data-edge
-  * distinctness inequalities, and timestamp predicates for every `≺` pair
-  * (Definition 4 expressed relationally). Output: one row per match, one
-  * `m_<queryEdgeId>` column carrying the bound data-edge id.
+  * One self-join per query edge in the [[MatchPlan]] build order: each
+  * leaf is filtered by its position's own predicates and joined on the
+  * predicates against the bound prefix (Definition 4 expressed
+  * relationally). Output: one row per match, one `m_<queryEdgeId>` column
+  * carrying the bound data-edge id.
   */
 object SnapshotMatcher {
 
-  /** Deterministic prefix-connected build order (ignores timing). */
-  def buildOrder(q: QueryGraph): IndexedSeq[Int] = TimingSequence.connectivityOrder(q)
-
-  private def renamed(edges: DataFrame, p: Int): DataFrame =
-    edges.select(edges.columns.map(c => col(c).as(s"e${p}_$c")).toIndexedSeq: _*)
-
   /** All time-constrained matches of `q` in `edges` (a snapshot). */
   def matches(edges: DataFrame, q: QueryGraph): DataFrame = {
-    val order = buildOrder(q)
-    // query vertex -> column name binding it, established left-to-right
-    var bound: Map[Int, String] = Map.empty
-    var df: DataFrame           = null
-
-    order.zipWithIndex.foreach { case (qeid, p) =>
-      val qe   = q.edgeById(qeid)
-      val side = renamed(edges, p)
-      val preds = scala.collection.mutable.ArrayBuffer[Column]()
-      // label filters (wildcard "*" imposes none)
-      if (qe.label != "*") preds += col(s"e${p}_label") === lit(qe.label)
-      if (q.label(qe.src) != "*") preds += col(s"e${p}_src_label") === lit(q.label(qe.src))
-      if (q.label(qe.dst) != "*") preds += col(s"e${p}_dst_label") === lit(q.label(qe.dst))
-      // no self-loops on the data side (query graphs have none)
-      preds += col(s"e${p}_src") =!= col(s"e${p}_dst")
-
-      if (p == 0) {
-        df = side.where(preds.reduce(_ && _))
-      } else {
-        // vertex consistency / injectivity against the bound prefix
-        Seq(qe.src -> s"e${p}_src", qe.dst -> s"e${p}_dst").foreach { case (qv, c) =>
-          bound.foreach { case (bqv, bc) =>
-            if (bqv == qv) preds += col(bc) === col(c)
-            else preds += col(bc) =!= col(c)
-          }
-        }
-        // data-edge distinctness + timing predicates vs earlier positions
-        (0 until p).foreach { pp =>
-          val prevId = order(pp)
-          preds += col(s"e${pp}_id") =!= col(s"e${p}_id")
-          if (q.precedes(prevId, qeid)) preds += col(s"e${pp}_ts") < col(s"e${p}_ts")
-          if (q.precedes(qeid, prevId)) preds += col(s"e${p}_ts") < col(s"e${pp}_ts")
-        }
-        df = df.join(side, preds.reduce(_ && _))
-      }
-      if (!bound.contains(qe.src)) bound += qe.src -> s"e${p}_src"
-      if (!bound.contains(qe.dst)) bound += qe.dst -> s"e${p}_dst"
-    }
-
-    val outCols = q.edges.map(_.id).sorted.map { qeid =>
-      val p = order.indexOf(qeid)
-      col(s"e${p}_id").as(s"m_$qeid")
-    }
-    df.select(outCols.toIndexedSeq: _*)
+    val plan = new MatchPlan(q)
+    def leaf(p: Int) = renamed(edges, p).where(column(plan.local(p)))
+    project((1 until plan.order.length).foldLeft(leaf(0)) { (df, p) =>
+      df.join(leaf(p), column(plan.cross(p)))
+    }, plan)
   }
+
+  /** Conjunction of `preds` over the columns `e<p>_<field>` of [[renamed]]. */
+  private[spark] def column(preds: Seq[Pred]): Column = {
+    def c(r: Ref) = col(s"e${r.p}_${r.field}")
+    preds.map {
+      case Is(r, l) => c(r) === lit(l)
+      case Eq(a, b) => c(a) === c(b)
+      case Ne(a, b) => c(a) =!= c(b)
+      case Lt(a, b) => c(a) < c(b)
+    }.reduce(_ && _)
+  }
+
+  /** `edges` with every column prefixed for position `p`. */
+  private[spark] def renamed(edges: DataFrame, p: Int): DataFrame =
+    edges.select(edges.columns.map(c => col(c).as(s"e${p}_$c")).toIndexedSeq: _*)
+
+  /** The `m_<queryEdgeId>` columns of complete rows of `plan`. */
+  private[spark] def project(df: DataFrame, plan: MatchPlan): DataFrame =
+    df.select(plan.outputs.map { case (qeid, p) => col(s"e${p}_id").as(s"m_$qeid") }: _*)
 }

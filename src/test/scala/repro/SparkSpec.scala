@@ -1,16 +1,16 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+
+import repro.core.QueryGraph
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Broadcast joins are disabled so the relational
+  * matchers' self-joins run as shuffle joins.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -36,4 +36,12 @@ object SparkSpec {
     )
     s
   }
+
+  /** `Matching.key` of every row of a DataFrame with `m_<queryEdgeId>`
+    * columns, as the relational matchers return.
+    */
+  def matchKeys(df: DataFrame, q: QueryGraph): Set[String] =
+    df.collect().map { r =>
+      q.edges.map(_.id).sorted.map(qe => s"$qe:${r.getAs[Long](s"m_$qe")}").mkString(",")
+    }.toSet
 }

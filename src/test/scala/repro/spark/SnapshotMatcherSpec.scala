@@ -1,6 +1,9 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
+
 import repro.{Oracle, SparkSpec}
+import repro.SparkSpec.matchKeys
 import repro.core._
 import repro.data.{GraphStreams, QueryGenerator}
 
@@ -11,16 +14,17 @@ import repro.data.{GraphStreams, QueryGenerator}
 class SnapshotMatcherSpec extends SparkSpec {
   import Fixtures._
 
-  private def checkAll(name: String, q: QueryGraph, edges: Vector[StreamEdge]): Unit = {
+  /** DuckDB checks how the plan is evaluated; the brute force, which
+    * shares nothing with [[MatchPlan]], checks how it was built.
+    */
+  private def checkAll(name: String, q: QueryGraph, edges: Vector[StreamEdge]): DataFrame = {
     val df  = EdgeStreams.toDf(spark, edges)
     val got = SnapshotMatcher.matches(df, q)
     // 1. DuckDB oracle on the generated SQL
     Oracle.assertEquivalent(got, MatchSql.matchesSql(q, "edges"), "edges" -> df)
     // 2. core brute force
-    val keys = got.collect().map { r =>
-      q.edges.map(_.id).sorted.map(qe => s"$qe:${r.getAs[Long](s"m_$qe")}").mkString(",")
-    }.toSet
-    assert(keys == bruteForce(q, edges), s"$name: Spark vs brute force")
+    assert(matchKeys(got, q) == bruteForce(q, edges), s"$name: Spark vs brute force")
+    got
   }
 
   test("paper query over the paper embedding (Oracle-checked)") {
@@ -77,10 +81,7 @@ class SnapshotMatcherSpec extends SparkSpec {
       StreamEdge(1, 10, "A", 11, "B", "-", 1), StreamEdge(2, 11, "B", 12, "C", "-", 2), // valid
       StreamEdge(3, 20, "A", 21, "B", "-", 6), StreamEdge(4, 21, "B", 22, "C", "-", 5), // violates
     )
-    val df  = EdgeStreams.toDf(spark, edges)
-    val got = SnapshotMatcher.matches(df, q)
-    assert(got.count() == 1)
-    Oracle.assertEquivalent(got, MatchSql.matchesSql(q, "edges"), "edges" -> df)
+    assert(checkAll("timing", q, edges).count() == 1)
   }
 
   test("snapshot window filter matches Definition 2 (Oracle-checked)") {
@@ -105,11 +106,8 @@ class SnapshotMatcherSpec extends SparkSpec {
     val eng    = new TimingEngine(q, Decomposer.decompose(q), StoreMode.MsTree)
     val driver = new WindowDriver(eng, 40)
     stream.foreach(driver.advance)
-    val df  = EdgeStreams.toDf(spark, driver.snapshot)
-    val got = SnapshotMatcher.matches(df, q).collect().map { r =>
-      q.edges.map(_.id).sorted.map(qe => s"$qe:${r.getAs[Long](s"m_$qe")}").mkString(",")
-    }.toSet
-    assert(got == keys(eng.results))
+    val df = EdgeStreams.toDf(spark, driver.snapshot)
+    assert(matchKeys(SnapshotMatcher.matches(df, q), q) == keys(eng.results))
   }
 
   test("parallel query edges (distinct labels) bind distinct data edges") {
@@ -123,9 +121,21 @@ class SnapshotMatcherSpec extends SparkSpec {
       StreamEdge(2, 10, "A", 11, "B", "y", 2),
       StreamEdge(3, 10, "A", 11, "B", "y", 0), // violates ε1≺ε2
     )
-    val df  = EdgeStreams.toDf(spark, edges)
-    val got = SnapshotMatcher.matches(df, q)
-    assert(got.count() == 1)
-    Oracle.assertEquivalent(got, MatchSql.matchesSql(q, "edges"), "edges" -> df)
+    assert(checkAll("parallel", q, edges).count() == 1)
+  }
+
+  test("labels containing a quote are matched and quoted in SQL (Oracle-checked)") {
+    val q = QueryGraph(
+      Seq(QueryVertex(0, "O'Neil"), QueryVertex(1, "B")),
+      Seq(QueryEdge(1, 0, 1, "it's"), QueryEdge(2, 1, 0, "'")),
+      Set((1, 2)),
+    )
+    val edges = Vector(
+      StreamEdge(1, 10, "O'Neil", 11, "B", "it's", 1),
+      StreamEdge(2, 11, "B", 10, "O'Neil", "'", 2),
+      StreamEdge(3, 12, "O'Neil", 11, "B", "its", 3), // label differs only by the quote
+      StreamEdge(4, 11, "B", 12, "O'Neil", "''", 4),   // doubled quote is a different label
+    )
+    assert(checkAll("quote", q, edges).count() == 1)
   }
 }
