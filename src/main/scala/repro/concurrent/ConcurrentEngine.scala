@@ -32,26 +32,15 @@ final class ConcurrentEngine(
 
   private def launch(plan: Vector[(ItemKey, LockMode)])(body: Guard => Unit): Unit = {
     if (plan.isEmpty) return // σ matches no query edge: CONTINUE (Alg 3)
-    val txn = txnSeq.incrementAndGet()
-    if (fineGrained) {
-      val reqs = plan.map { case (k, m) => new LockRequest(txn, m, k) }
-      reqs.foreach(r => table(r.key).enqueue(r)) // dispatch before launch
-      val guard = new TxnGuard(table, reqs)
-      pending.incrementAndGet()
-      pool.execute { () =>
-        try { body(guard); guard.finish() }
-        finally { pending.decrementAndGet(); synchronized(notifyAll()) }
-      }
-    } else {
-      val deduped = AllLocksGuard.dedup(plan)
-      val reqs    = deduped.map { case (k, m) => new LockRequest(txn, m, k) }
-      reqs.foreach(r => table(r.key).enqueue(r))
-      val guard = new AllLocksGuard(table, reqs)
-      pending.incrementAndGet()
-      pool.execute { () =>
-        try { guard.acquireAll(); try body(guard) finally guard.releaseAll() }
-        finally { pending.decrementAndGet(); synchronized(notifyAll()) }
-      }
+    val txn  = txnSeq.incrementAndGet()
+    val reqs = // dispatch before launch
+      (if (fineGrained) plan else AllLocksGuard.dedup(plan)).map { case (k, m) => table.enqueue(txn, k, m) }
+    pending.incrementAndGet()
+    pool.execute { () =>
+      try {
+        if (fineGrained) { val g = new TxnGuard(reqs); body(g); g.finish() }
+        else { val g = new AllLocksGuard(reqs); g.acquireAll(); try body(g) finally g.releaseAll() }
+      } finally { pending.decrementAndGet(); synchronized(notifyAll()) }
     }
   }
 

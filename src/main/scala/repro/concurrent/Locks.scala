@@ -5,8 +5,10 @@ import scala.collection.mutable
 
 import repro.core.{Guard, ItemKey, LockMode}
 
-/** A pending lock request `⟨tID, locktype, L^j⟩` (§V-B). */
-final class LockRequest(val txnId: Long, val mode: LockMode, val key: ItemKey)
+/** A pending lock request `⟨tID, locktype, L^j⟩` (§V-B), bound at dispatch
+  * to the lock of its item.
+  */
+final class LockRequest(val txnId: Long, val mode: LockMode, val key: ItemKey, val lock: ItemLock)
 
 /** The lock of one expansion-list item, with its thread-safe wait-list.
   *
@@ -57,17 +59,27 @@ final class ItemLock {
   }
 }
 
-/** Lazily materialized item-lock table. */
+/** Lazily materialized item-lock table, used only by the single
+  * dispatcher thread; workers reach a lock through its request.
+  */
 final class LockTable {
-  private val locks = mutable.Map[ItemKey, ItemLock]()
-  def apply(key: ItemKey): ItemLock = synchronized(locks.getOrElseUpdate(key, new ItemLock))
+  private val locks = mutable.HashMap[ItemKey, ItemLock]()
+
+  /** Create the request, bind it to the item's lock and append it to that
+    * lock's wait-list.
+    */
+  def enqueue(txnId: Long, key: ItemKey, mode: LockMode): LockRequest = {
+    val r = new LockRequest(txnId, mode, key, locks.getOrElseUpdate(key, new ItemLock))
+    r.lock.enqueue(r)
+    r
+  }
 }
 
 /** Fine-grained guard (the paper's scheme): claims each pre-enqueued
   * request exactly when the engine reaches that plan step; at most one
   * item lock is held at a time, so deadlock is impossible (§V-B).
   */
-final class TxnGuard(table: LockTable, requests: IndexedSeq[LockRequest]) extends Guard {
+final class TxnGuard(requests: IndexedSeq[LockRequest]) extends Guard {
 
   private var cursor = 0
 
@@ -75,10 +87,9 @@ final class TxnGuard(table: LockTable, requests: IndexedSeq[LockRequest]) extend
     val r = requests(cursor)
     require(r.key == key && r.mode == mode, s"plan mismatch at $cursor: planned (${r.key},${r.mode}), got ($key,$mode)")
     cursor += 1
-    val lock = table(key)
-    lock.acquire(r)
+    r.lock.acquire(r)
     try f
-    finally lock.release(mode)
+    finally r.lock.release(mode)
   }
 
   override def skip(n: Int): Unit = {
@@ -86,7 +97,7 @@ final class TxnGuard(table: LockTable, requests: IndexedSeq[LockRequest]) extend
     while (i < n) {
       val r = requests(cursor)
       cursor += 1
-      table(r.key).cancel(r)
+      r.lock.cancel(r)
       i += 1
     }
   }
@@ -99,23 +110,11 @@ final class TxnGuard(table: LockTable, requests: IndexedSeq[LockRequest]) extend
   * (deduplicated per item, X dominating S), runs the whole transaction,
   * then releases — serialising any two transactions that share an item.
   */
-final class AllLocksGuard(table: LockTable, requests: IndexedSeq[LockRequest]) extends Guard {
+final class AllLocksGuard(requests: IndexedSeq[LockRequest]) extends Guard {
 
-  /** Deduplicate a plan per item before enqueueing (strongest mode wins,
-    * first-occurrence order kept) — re-acquiring a held item would
-    * self-deadlock under up-front acquisition.
-    */
-  private var held: List[(ItemKey, LockMode)] = Nil
+  def acquireAll(): Unit = requests.foreach(r => r.lock.acquire(r))
 
-  def acquireAll(): Unit = {
-    requests.foreach { r => table(r.key).acquire(r) }
-    held = requests.map(r => (r.key, r.mode)).toList
-  }
-
-  def releaseAll(): Unit = {
-    held.reverse.foreach { case (k, m) => table(k).release(m) }
-    held = Nil
-  }
+  def releaseAll(): Unit = requests.reverseIterator.foreach(r => r.lock.release(r.mode))
 
   override def exec[A](key: ItemKey, mode: LockMode)(f: => A): A = f
   override def skip(n: Int): Unit                                = ()
@@ -123,7 +122,11 @@ final class AllLocksGuard(table: LockTable, requests: IndexedSeq[LockRequest]) e
 
 object AllLocksGuard {
 
-  /** Plan dedup used by the dispatcher for All-locks transactions. */
+  /** Plan dedup used by the dispatcher for All-locks transactions: the
+    * strongest mode per item wins, first-occurrence order is kept.
+    * Re-acquiring a held item would self-deadlock under up-front
+    * acquisition.
+    */
   def dedup(plan: Vector[(ItemKey, LockMode)]): Vector[(ItemKey, LockMode)] = {
     val seen = mutable.LinkedHashMap[ItemKey, LockMode]()
     plan.foreach { case (k, m) =>

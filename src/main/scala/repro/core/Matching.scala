@@ -64,9 +64,10 @@ object Matching {
     }
   }
 
-  /** Fast path used by the expansion-list hot loop: can partial match
-    * `prefix` (over `prefixEdges`) be extended with `sigma` matching query
-    * edge `qeid`? Assumes `prefix` is already valid.
+  /** Can partial match `prefix` (over `prefixEdges`) be extended with
+    * `sigma` matching query edge `qeid`? Assumes `prefix` is already valid.
+    * Used by the baselines and the brute-force test oracle; the Timing
+    * engine tests its joins with [[crossCompatible]].
     */
   def canExtend(
       q: QueryGraph,

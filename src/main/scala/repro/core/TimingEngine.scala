@@ -44,20 +44,20 @@ final class TimingEngine(
 
   private val k = decomposition.k
 
-  private[repro] val chains: IndexedSeq[ChainStore] =
-    decomposition.subqueries.map { sq =>
-      mode match {
-        case StoreMode.MsTree      => new MsChainStore(sq.size)
-        case StoreMode.Independent => new IndStore(sq.size)
-      }
+  /** The expansion lists, numbered as [[ItemKey.list]]: `lists(0)` is
+    * `L_0` (no levels when k = 1) and `lists(i + 1)` is subquery `i`'s list.
+    */
+  private val lists: IndexedSeq[MatchStore] = {
+    val l0Levels = if (k == 1) 0 else k
+    mode match {
+      case StoreMode.MsTree =>
+        new MsJoinStore(l0Levels) +: decomposition.subqueries.map(sq => new MsChainStore(sq.size))
+      case StoreMode.Independent =>
+        (l0Levels +: decomposition.subqueries.map(_.size)).map(new IndStore(_))
     }
+  }
 
-  private[repro] val join: Option[JoinStore] =
-    if (k == 1) None
-    else Some(mode match {
-      case StoreMode.MsTree      => new MsJoinStore(k)
-      case StoreMode.Independent => new IndStore(k)
-    })
+  private[repro] def chains(i: Int): MatchStore = lists(i + 1)
 
   /** Join operations performed (for validating Theorem 7's cost model). */
   val joinOps = new LongAdder
@@ -74,16 +74,13 @@ final class TimingEngine(
   /** Number of inserts that hit [[workCap]]. */
   val cappedInserts = new LongAdder
 
-  private def chainKey(i: Int, j: Int): ItemKey = ItemKey(i + 1, j)
-  private def l0Key(x: Int): ItemKey            = ItemKey(0, x)
-
   /** (subquery, position) pairs whose query edge σ can match, in the fixed
     * iteration order shared by plan and execution.
     */
   private def positionsMatching(sigma: StreamEdge): IndexedSeq[(Int, Int)] =
     for {
       i <- 0 until k
-      j <- 0 until chains(i).numLevels
+      j <- 0 until lists(i + 1).numLevels
       // query graphs have no self-loops, so self-loop data edges never match
       if sigma.src != sigma.dst
       if q.matchesEdge(q.edgeById(decomposition.subqueries(i).seq(j)), sigma)
@@ -93,16 +90,15 @@ final class TimingEngine(
     * every join is assumed non-empty (§V-A's analysis style).
     */
   private def groupSteps(i: Int, j: Int): Vector[(ItemKey, LockMode)] = {
-    val b     = Vector.newBuilder[(ItemKey, LockMode)]
-    val lastJ = chains(i).numLevels - 1
-    if (j == 0) b += chainKey(i, 0) -> LockMode.X
-    else { b += chainKey(i, j - 1) -> LockMode.S; b += chainKey(i, j) -> LockMode.X }
-    if (j == lastJ && k > 1) {
-      if (i == 0) b += l0Key(0) -> LockMode.X
-      else { b += l0Key(i - 1) -> LockMode.S; b += l0Key(i) -> LockMode.X }
+    val b = Vector.newBuilder[(ItemKey, LockMode)]
+    if (j == 0) b += ItemKey(i + 1, 0) -> LockMode.X
+    else { b += ItemKey(i + 1, j - 1) -> LockMode.S; b += ItemKey(i + 1, j) -> LockMode.X }
+    if (j == lists(i + 1).numLevels - 1 && k > 1) {
+      if (i == 0) b += ItemKey(0, 0) -> LockMode.X
+      else { b += ItemKey(0, i - 1) -> LockMode.S; b += ItemKey(0, i) -> LockMode.X }
       for (x <- i + 1 until k) {
-        b += chainKey(x, chains(x).numLevels - 1) -> LockMode.S
-        b += l0Key(x)                     -> LockMode.X
+        b += ItemKey(x + 1, lists(x + 1).numLevels - 1) -> LockMode.S
+        b += ItemKey(0, x)                              -> LockMode.X
       }
     }
     b.result()
@@ -112,20 +108,18 @@ final class TimingEngine(
   def insertPlan(sigma: StreamEdge): Vector[(ItemKey, LockMode)] =
     positionsMatching(sigma).flatMap { case (i, j) => groupSteps(i, j) }.toVector
 
-  /** Positions of subquery `i`'s sequence that σ matches: the levels where
-    * Del(σ) starts removing matches of that list (Algorithm 2).
+  /** Does σ match a position of subquery `i`'s sequence, i.e. can Del(σ)
+    * remove matches of that list (Algorithm 2)?
     */
-  private def triggers(i: Int, sigma: StreamEdge): Set[Int] =
-    (0 until chains(i).numLevels)
-      .filter(j => q.matchesEdge(q.edgeById(decomposition.subqueries(i).seq(j)), sigma))
-      .toSet
+  private def triggers(i: Int, sigma: StreamEdge): Boolean =
+    decomposition.subqueries(i).seq.exists(e => q.matchesEdge(q.edgeById(e), sigma))
 
   /** Full lock plan of Del(σ); empty iff σ matches no query edge. */
   def deletePlan(sigma: StreamEdge): Vector[(ItemKey, LockMode)] = {
     val b = Vector.newBuilder[(ItemKey, LockMode)]
-    for (i <- 0 until k if triggers(i, sigma).nonEmpty) {
-      (0 until chains(i).numLevels).foreach(j => b += chainKey(i, j) -> LockMode.X)
-      if (k > 1) (i until k).foreach(x => b += l0Key(x) -> LockMode.X)
+    for (i <- 0 until k if triggers(i, sigma)) {
+      (0 until lists(i + 1).numLevels).foreach(j => b += ItemKey(i + 1, j) -> LockMode.X)
+      (i until lists(0).numLevels).foreach(x => b += ItemKey(0, x) -> LockMode.X)
     }
     b.result()
   }
@@ -139,6 +133,7 @@ final class TimingEngine(
     */
   def insert(sigma: StreamEdge, guard: Guard): Vector[Matching.Match] = {
     val out    = Vector.newBuilder[Matching.Match]
+    val l0     = lists(0)
     var work   = 0L
     var capped = false
     for ((i, j) <- positionsMatching(sigma)) {
@@ -150,13 +145,13 @@ final class TimingEngine(
         guard.exec(key, m)(f)
       }
 
-      /** `left ⋈ᵀ right`: test every pair, then `write` each compatible pair
-        * under the group's next step. No pair (or the work cap) makes σ
-        * discardable for the rest of the group (Lemma 1).
+      /** `left ⋈ᵀ right`: test every pair, then extend `store` at `level` by
+        * each compatible pair under the group's next step. No pair (or the
+        * work cap) makes σ discardable for the rest of the group (Lemma 1).
         */
       def joinStep(left: Vector[StoredMatch], leftIds: IndexedSeq[Int],
-                   right: Vector[StoredMatch], rightIds: IndexedSeq[Int])(
-          write: (StoredMatch, StoredMatch) => StoredMatch): Vector[StoredMatch] = {
+                   right: Vector[StoredMatch], rightIds: IndexedSeq[Int],
+                   store: MatchStore, level: Int): Vector[StoredMatch] = {
         joinOps.increment()
         work += left.size.toLong * right.size
         val hits = mutable.ArrayBuffer[StoredMatch]() // compatible pairs, flattened
@@ -179,32 +174,28 @@ final class TimingEngine(
         else run {
           val written = Vector.newBuilder[StoredMatch]
           var h       = 0
-          while (h < hits.length) { written += write(hits(h), hits(h + 1)); h += 2 }
+          while (h < hits.length) { written += store.extend(level, hits(h), hits(h + 1)); h += 2 }
           written.result()
         }
       }
 
-      val sq = decomposition.subqueries(i)
+      val sq     = decomposition.subqueries(i)
+      val chain  = lists(i + 1)
+      val single = StoredMatch(sigma, Vector(sigma)) // the one-edge match {σ}
       val delta: Vector[StoredMatch] =
-        if (j == 0) run(Vector(chains(i).insertRoot(sigma)))
-        else
-          joinStep(run(chains(i).read(j - 1)), sq.seq.take(j),
-                   Vector(StoredMatch(sigma, Vector(sigma))), Vector(sq.seq(j)))(
-            (pm, _) => chains(i).extend(j, pm, sigma))
+        if (j == 0) run(Vector(chain.insertRoot(single)))
+        else joinStep(run(chain.read(j - 1)), sq.seq.take(j), Vector(single), Vector(sq.seq(j)), chain, j)
 
       if (delta.nonEmpty && j == sq.size - 1) {
         if (k == 1) out ++= delta.map(sm => toMatch(sq.seq, sm.edges))
         else {
-          val js = join.get
           var cur =
-            if (i == 0) run(delta.map(js.insertRoot))
-            else joinStep(run(js.read(i - 1)), decomposition.prefixEdges(i - 1), delta, sq.seq)(
-              js.extend(i, _, _))
+            if (i == 0) run(delta.map(l0.insertRoot))
+            else joinStep(run(l0.read(i - 1)), decomposition.prefixEdges(i - 1), delta, sq.seq, l0, i)
           var x = i + 1
           while (x < k && cur.nonEmpty) {
-            val subs = run(chains(x).read(chains(x).numLevels - 1))
-            cur = joinStep(cur, decomposition.prefixEdges(x - 1), subs, decomposition.subqueries(x).seq)(
-              js.extend(x, _, _))
+            val subs = run(lists(x + 1).read(lists(x + 1).numLevels - 1))
+            cur = joinStep(cur, decomposition.prefixEdges(x - 1), subs, decomposition.subqueries(x).seq, l0, x)
             x += 1
           }
           if (cur.nonEmpty) out ++= cur.map(sm => toMatch(decomposition.prefixEdges(k - 1), sm.edges))
@@ -218,20 +209,18 @@ final class TimingEngine(
 
   /** Algorithm 2 (full level sweep; empty levels are O(1)). */
   def delete(sigma: StreamEdge, guard: Guard): Unit = {
-    for (i <- 0 until k) {
-      val trig = triggers(i, sigma)
-      if (trig.nonEmpty) {
-        val expiry    = chains(i).newExpiry(sigma, trig)
-        var completes = 0 // removed from the last level, i.e. complete matches of subquery i
-        for (j <- 0 until chains(i).numLevels)
-          completes = guard.exec(chainKey(i, j), LockMode.X)(expiry.processLevel(j))
-        if (k > 1) {
-          if (completes > 0) {
-            val jex = join.get.newExpiry(sigma, i)
-            for (x <- i until k)
-              guard.exec(l0Key(x), LockMode.X)(jex.processLevel(x))
-          } else guard.skip(k - i)
-        }
+    for (i <- 0 until k if triggers(i, sigma)) {
+      val chain     = lists(i + 1)
+      val expiry    = chain.newExpiry(sigma, 0)
+      var completes = 0 // removed from the last level, i.e. complete matches of subquery i
+      for (j <- 0 until chain.numLevels)
+        completes = guard.exec(ItemKey(i + 1, j), LockMode.X)(expiry.processLevel(j))
+      if (k > 1) {
+        if (completes > 0) {
+          val jex = lists(0).newExpiry(sigma, i)
+          for (x <- i until k)
+            guard.exec(ItemKey(0, x), LockMode.X)(jex.processLevel(x))
+        } else guard.skip(k - i)
       }
     }
   }
@@ -239,20 +228,16 @@ final class TimingEngine(
   private def toMatch(ids: IndexedSeq[Int], edges: IndexedSeq[StreamEdge]): Matching.Match =
     ids.zip(edges).toMap
 
-  override def results: Vector[Matching.Match] =
-    if (k == 1)
-      chains(0).read(chains(0).numLevels - 1).map(sm => toMatch(decomposition.subqueries(0).seq, sm.edges))
-    else
-      join.get.read(k - 1).map(sm => toMatch(decomposition.prefixEdges(k - 1), sm.edges))
+  /** Ω(Q): the last item of `L_0`, or of the only subquery's list when k = 1. */
+  override def results: Vector[Matching.Match] = {
+    val last = if (k == 1) lists(1) else lists(0)
+    last.read(last.numLevels - 1).map(sm => toMatch(decomposition.prefixEdges(k - 1), sm.edges))
+  }
 
-  override def spaceCells: Long =
-    chains.map(_.spaceCells).sum + join.map(_.spaceCells).getOrElse(0L)
+  override def spaceCells: Long = lists.map(_.spaceCells).sum
 
   /** Sizes of every item (diagnostics + paper-example tests). */
-  def itemSizes: Map[ItemKey, Int] = {
-    val m = mutable.Map[ItemKey, Int]()
-    for (i <- 0 until k; j <- 0 until chains(i).numLevels) m(chainKey(i, j)) = chains(i).size(j)
-    join.foreach(js => (0 until k).foreach(x => m(l0Key(x)) = js.size(x)))
-    m.toMap
-  }
+  def itemSizes: Map[ItemKey, Int] =
+    (for (l <- lists.indices; level <- 0 until lists(l).numLevels)
+      yield ItemKey(l, level) -> lists(l).size(level)).toMap
 }

@@ -15,8 +15,11 @@ final class WindowDriver(val engine: EngineApi, val window: Long) {
   /** Edges currently inside the window (the snapshot's edge set). */
   def snapshot: Vector[StreamEdge] = live.toVector
 
-  /** Expire edges that fall out of the window as of time `now`. */
-  def expireUpTo(now: Long): Unit =
+  /** Expire edges that fall out of the window as of time `now`. Private:
+    * a `now` later than the next arrival would delete edges that are still
+    * live at that arrival's timestamp.
+    */
+  private def expireUpTo(now: Long): Unit =
     while (live.nonEmpty && live.head.ts <= now - window) engine.delete(live.dequeue())
 
   /** Slide the window to σ's timestamp and insert σ; returns new matches. */

@@ -7,10 +7,10 @@ import repro.core.StreamEdge
   * partial match keeps its whole edge sequence, so space is Σ match
   * lengths and expiry scans each item for σ (no prefix sharing, no O(1)
   * subtree deletion). The same store serves a subquery's expansion list
-  * and `L_0`; they differ only in what an extension appends. The engine
-  * sweeps exactly the levels an expiry can touch, so σ is all it needs.
+  * and `L_0`. The caller sweeps exactly the levels an expiry can touch,
+  * so σ is all the scan needs and `from` is not used.
   */
-final class IndStore(override val numLevels: Int) extends ChainStore with JoinStore {
+final class IndStore(override val numLevels: Int) extends MatchStore {
 
   private val items: Array[mutable.ArrayBuffer[IndexedSeq[StreamEdge]]] =
     Array.fill(numLevels)(mutable.ArrayBuffer())
@@ -20,30 +20,21 @@ final class IndStore(override val numLevels: Int) extends ChainStore with JoinSt
     StoredMatch(edges, edges)
   }
 
-  override def read(j: Int): Vector[StoredMatch] =
-    items(j).iterator.map(m => StoredMatch(m, m)).toVector
-
-  override def insertRoot(sigma: StreamEdge): StoredMatch = add(0, Vector(sigma))
+  override def read(level: Int): Vector[StoredMatch] =
+    items(level).iterator.map(m => StoredMatch(m, m)).toVector
 
   override def insertRoot(sub: StoredMatch): StoredMatch = add(0, sub.edges)
 
-  override def extend(j: Int, parent: StoredMatch, sigma: StreamEdge): StoredMatch =
-    add(j, parent.edges :+ sigma)
+  override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch =
+    add(level, parent.edges ++ sub.edges)
 
-  override def extend(i: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch =
-    add(i, parent.edges ++ sub.edges)
-
-  override def newExpiry(sigma: StreamEdge, triggers: Set[Int]): Expiry = expiry(sigma)
-
-  override def newExpiry(sigma: StreamEdge, subIdx: Int): Expiry = expiry(sigma)
-
-  private def expiry(sigma: StreamEdge): Expiry = j => {
-    val before = items(j).length
-    items(j).filterInPlace(m => !m.exists(_.id == sigma.id))
-    before - items(j).length
+  override def newExpiry(sigma: StreamEdge, from: Int): Expiry = level => {
+    val before = items(level).length
+    items(level).filterInPlace(m => !m.exists(_.id == sigma.id))
+    before - items(level).length
   }
 
-  override def size(j: Int): Int = items(j).size
+  override def size(level: Int): Int = items(level).size
 
   override def spaceCells: Long =
     items.iterator.map(buf => buf.iterator.map(_.length.toLong).sum).sum

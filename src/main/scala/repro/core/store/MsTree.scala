@@ -1,6 +1,7 @@
 package repro.core.store
 
 import scala.collection.mutable
+import repro.core.StreamEdge
 
 /** A node of an MS-tree (Definition 10).
   *
@@ -15,12 +16,12 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P]) {
   var next: MsNode[P]                 = _
   val children: mutable.Set[MsNode[P]] = mutable.LinkedHashSet()
 
-  /** Materialized root→this path, set once at insertion (an immutable
-    * Vector built as `parentPath :+ payload`, so prefixes share structure —
+  /** The edges of the root→this path, set once at insertion (an immutable
+    * Vector that extends the parent's, so prefixes share structure —
     * the persistent-collection analogue of the trie's prefix sharing).
     * Immutable after insert, hence safe for concurrent readers.
     */
-  var cachedPath: AnyRef = _
+  var cachedPath: IndexedSeq[StreamEdge] = _
 }
 
 /** Match-store tree (§IV): a trie variant whose level-`i` nodes are the

@@ -7,12 +7,12 @@ import repro.core.{ItemKey, LockMode}
 
 class LockSpec extends AnyFunSuite {
 
-  private def req(id: Long, m: LockMode) = new LockRequest(id, m, ItemKey(0, 0))
+  private def req(lock: ItemLock, id: Long, m: LockMode) = new LockRequest(id, m, ItemKey(0, 0), lock)
 
   test("X locks serialize in wait-list (chronological) order") {
     val lock  = new ItemLock
     val order = new java.util.concurrent.ConcurrentLinkedQueue[Long]()
-    val reqs  = (1L to 8L).map(i => req(i, LockMode.X))
+    val reqs  = (1L to 8L).map(i => req(lock, i, LockMode.X))
     reqs.foreach(lock.enqueue)
     val threads = reqs.reverse.map { r => // start in reverse to stress FIFO
       new Thread(() => {
@@ -29,9 +29,9 @@ class LockSpec extends AnyFunSuite {
 
   test("shared locks overlap; exclusive excludes") {
     val lock    = new ItemLock
-    val s1      = req(1, LockMode.S)
-    val s2      = req(2, LockMode.S)
-    val x3      = req(3, LockMode.X)
+    val s1      = req(lock, 1, LockMode.S)
+    val s2      = req(lock, 2, LockMode.S)
+    val x3      = req(lock, 3, LockMode.X)
     Seq(s1, s2, x3).foreach(lock.enqueue)
     val both    = new CountDownLatch(2)
     val sInside = new AtomicInteger(0)
@@ -57,8 +57,8 @@ class LockSpec extends AnyFunSuite {
 
   test("cancel unblocks successors") {
     val lock = new ItemLock
-    val r1   = req(1, LockMode.X)
-    val r2   = req(2, LockMode.X)
+    val r1   = req(lock, 1, LockMode.X)
+    val r2   = req(lock, 2, LockMode.X)
     lock.enqueue(r1); lock.enqueue(r2)
     val done = new CountDownLatch(1)
     val t = new Thread(() => { lock.acquire(r2); done.countDown(); lock.release(LockMode.X) })
@@ -78,7 +78,7 @@ class LockSpec extends AnyFunSuite {
 
   test("S after S acquires without waiting for the later X") {
     val lock = new ItemLock
-    val s1 = req(1, LockMode.S); val s2 = req(2, LockMode.S); val x3 = req(3, LockMode.X)
+    val s1 = req(lock, 1, LockMode.S); val s2 = req(lock, 2, LockMode.S); val x3 = req(lock, 3, LockMode.X)
     Seq(s1, s2, x3).foreach(lock.enqueue)
     lock.acquire(s1)
     // s2 is now head and S-compatible: must not block
