@@ -22,10 +22,39 @@ final class QueryGraph private (
 ) {
 
   val vertexById: Map[Int, QueryVertex] = vertices.map(v => v.id -> v).toMap
-  val edgeById: Map[Int, QueryEdge]     = edges.map(e => e.id -> e).toMap
+
+  // The join hot loop (`Matching.crossCompatible`) looks up query edges and
+  // `≺` pairs by id for every pair of matches it tests, so both are array
+  // reads over positions in `edges` rather than hashed lookups.
+  private val edgeArray = edges.toArray
+  private val idBase    = if (edges.isEmpty) 0 else edges.map(_.id).min
+  private val slots: Array[Int] = { // id - idBase → position in `edges`, or -1
+    val s = Array.fill(if (edges.isEmpty) 0 else edges.map(_.id).max - idBase + 1)(-1)
+    edges.indices.foreach(p => s(edges(p).id - idBase) = p)
+    s
+  }
+  private def position(id: Int): Int = {
+    val s = id - idBase
+    if (s >= 0 && s < slots.length) slots(s) else -1
+  }
+  private val before: Array[Boolean] = { // row-major over positions
+    val m = new Array[Boolean](edges.size * edges.size)
+    order.foreach { case (a, b) => m(position(a) * edges.size + position(b)) = true }
+    m
+  }
+
+  /** The query edge with id `id`. */
+  def edgeById(id: Int): QueryEdge = {
+    val p = position(id)
+    if (p < 0) throw new NoSuchElementException(s"no query edge $id")
+    edgeArray(p)
+  }
 
   /** `a ≺ b` in the (transitively closed) timing order. */
-  def precedes(a: Int, b: Int): Boolean = order.contains((a, b))
+  def precedes(a: Int, b: Int): Boolean = {
+    val x = position(a); val y = position(b)
+    x >= 0 && y >= 0 && before(x * edges.size + y)
+  }
 
   /** Vertex label of query vertex `v`. */
   def label(v: Int): String = vertexById(v).label

@@ -126,6 +126,21 @@ class QueryGraphSpec extends AnyFunSuite {
     assert(!q.matchesEdge(q.edgeById(1), bad))
   }
 
+  test("edgeById and precedes agree with edges and order, unknown ids included") {
+    val sparse = QueryGraph(
+      Seq(v(0, "A"), v(1, "B"), v(2, "C")),
+      Seq(qe(10, 0, 1), qe(3, 1, 2), qe(7, 0, 2)),
+      Set((10, 3), (3, 7)),
+    )
+    for (q <- Seq(paperQ, sparse)) {
+      q.edges.foreach(e => assert(q.edgeById(e.id) eq e))
+      val ids   = q.edges.map(_.id)
+      val probe = (ids.min - 2 to ids.max + 2) :+ Int.MinValue :+ Int.MaxValue
+      for (a <- probe; b <- probe) assert(q.precedes(a, b) == q.order((a, b)), s"($a, $b)")
+      for (id <- probe if !ids.contains(id)) intercept[NoSuchElementException](q.edgeById(id))
+    }
+  }
+
   test("transitive closure helper") {
     val c = QueryGraph.transitiveClosure(Set((1, 2), (2, 3), (3, 4)))
     assert(c == Set((1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4)))
