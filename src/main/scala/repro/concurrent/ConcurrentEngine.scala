@@ -27,6 +27,9 @@ final class ConcurrentEngine(
   private val pending = new AtomicLong(0)
   private val txnSeq  = new AtomicLong(0)
 
+  /** Number of transactions dispatched so far. */
+  private[concurrent] def dispatched: Long = txnSeq.get()
+
   /** New complete matches reported by transactions (thread-safe). */
   val reported = new ConcurrentLinkedQueue[Matching.Match]()
 

@@ -44,16 +44,91 @@ final class TimingEngine(
 
   private val k = decomposition.k
 
+  // Query-edge layout and probe keys of every store level, built once, with
+  // index loops because each closure costs a cold build a lambda bootstrap.
+  // `ids(l)(level)`: the query edges of the matches at that level
+  // of list `l`, in sequential order. `keys(l)(level)`: where those matches
+  // hold the vertex the level is keyed by (null when unkeyed), and
+  // `probeKeys(l)(level)`: where the other side of the one join step that
+  // reads the level holds the same query vertex. `one(i)(j)`: the query edge
+  // at position `j` of subquery `i`, as the ids of the one-edge match {σ}.
+  private val ids       = new Array[Array[IndexedSeq[Int]]](k + 1)
+  private val keys      = new Array[Array[VertexKey]](k + 1)
+  private val probeKeys = new Array[Array[VertexKey]](k + 1)
+  private val one       = new Array[Array[IndexedSeq[Int]]](k)
+
+  /** Keys level `level` of list `l` by the first query vertex its matches
+    * share with `other`, the query edges of the side that probes it. The
+    * decomposition is prefix-connected (timing sequences and join order), so
+    * one always exists.
+    */
+  private def keyLevel(l: Int, level: Int, other: IndexedSeq[Int]): Unit = {
+    val own = ids(l)(level)
+    var a   = 0
+    while (a < own.length) {
+      val ea = q.edgeById(own(a))
+      var b  = 0
+      while (b < other.length) {
+        val eb = q.edgeById(other(b))
+        val atSrc = ea.src == eb.src || ea.src == eb.dst
+        if (atSrc || ea.dst == eb.src || ea.dst == eb.dst) {
+          val v = if (atSrc) ea.src else ea.dst
+          keys(l)(level) = VertexKey(a, atSrc)
+          probeKeys(l)(level) = VertexKey(b, eb.src == v)
+          return
+        }
+        b += 1
+      }
+      a += 1
+    }
+    throw new IllegalArgumentException(s"item ($l, $level) shares no query vertex with its join partner")
+  }
+
+  /** The query edges of a complete match, in the order results are stored. */
+  private val resultIds = decomposition.prefixEdges(k - 1)
+
+  locally {
+    val l0Levels = if (k == 1) 0 else k
+    ids(0) = new Array(l0Levels); keys(0) = new Array(l0Levels); probeKeys(0) = new Array(l0Levels)
+    var x = 0
+    while (x < l0Levels) {
+      ids(0)(x) = decomposition.prefixEdges(x)
+      // L_0 level x is probed by each new match of subquery x + 1.
+      if (x < k - 1) keyLevel(0, x, decomposition.subqueries(x + 1).seq)
+      x += 1
+    }
+    var i = 0
+    while (i < k) {
+      val seq = decomposition.subqueries(i).seq
+      val n   = seq.length
+      ids(i + 1) = new Array(n); keys(i + 1) = new Array(n); probeKeys(i + 1) = new Array(n)
+      one(i) = new Array(n)
+      var j = 0
+      while (j < n) { ids(i + 1)(j) = seq.take(j + 1); one(i)(j) = seq.slice(j, j + 1); j += 1 }
+      j = 0
+      while (j < n) {
+        // A chain level is probed by σ at the next position; the last level
+        // of a later subquery by each `L_0` match of the subqueries before it.
+        if (j < n - 1) keyLevel(i + 1, j, one(i)(j + 1))
+        else if (i >= 1) keyLevel(i + 1, j, ids(0)(i - 1))
+        j += 1
+      }
+      i += 1
+    }
+  }
+
   /** The expansion lists, numbered as [[ItemKey.list]]: `lists(0)` is
     * `L_0` (no levels when k = 1) and `lists(i + 1)` is subquery `i`'s list.
     */
-  private val lists: IndexedSeq[MatchStore] = {
-    val l0Levels = if (k == 1) 0 else k
-    mode match {
-      case StoreMode.MsTree =>
-        new MsJoinStore(l0Levels) +: decomposition.subqueries.map(sq => new MsChainStore(sq.size))
-      case StoreMode.Independent =>
-        (l0Levels +: decomposition.subqueries.map(_.size)).map(new IndStore(_))
+  private val lists = new Array[MatchStore](k + 1)
+  locally {
+    var l = 0
+    while (l <= k) {
+      lists(l) = mode match {
+        case StoreMode.MsTree      => if (l == 0) new MsJoinStore(keys(0)) else new MsChainStore(keys(l))
+        case StoreMode.Independent => new IndStore(keys(l))
+      }
+      l += 1
     }
   }
 
@@ -62,10 +137,15 @@ final class TimingEngine(
   /** Join operations performed (for validating Theorem 7's cost model). */
   val joinOps = new LongAdder
 
-  /** Optional per-insert work cap (pair tests) for *benchmark* use only: a
-    * dense workload can make one cascade do 10⁸ pair tests. Once an insert
-    * is over the cap, each further join step aborts its group like an
-    * empty join (plan-consistently); capped inserts are counted in
+  /** Pair tests performed: each join step tests every candidate its probe
+    * returned against the one match it was probed for.
+    */
+  val pairTests = new LongAdder
+
+  /** Optional per-insert work cap (candidates tested) for *benchmark* use
+    * only: a dense workload can make one cascade test 10⁸ candidates. Once
+    * an insert is over the cap, each further join step aborts its group like
+    * an empty join (plan-consistently); capped inserts are counted in
     * [[cappedInserts]] — never silently. 0 = unlimited (the default, used
     * by all correctness tests).
     */
@@ -109,10 +189,11 @@ final class TimingEngine(
     positionsMatching(sigma).flatMap { case (i, j) => groupSteps(i, j) }.toVector
 
   /** Does σ match a position of subquery `i`'s sequence, i.e. can Del(σ)
-    * remove matches of that list (Algorithm 2)?
+    * remove matches of that list (Algorithm 2)? Never for a self-loop, which
+    * no insert stores.
     */
   private def triggers(i: Int, sigma: StreamEdge): Boolean =
-    decomposition.subqueries(i).seq.exists(e => q.matchesEdge(q.edgeById(e), sigma))
+    sigma.src != sigma.dst && decomposition.subqueries(i).seq.exists(e => q.matchesEdge(q.edgeById(e), sigma))
 
   /** Full lock plan of Del(σ); empty iff σ matches no query edge. */
   def deletePlan(sigma: StreamEdge): Vector[(ItemKey, LockMode)] = {
@@ -129,11 +210,12 @@ final class TimingEngine(
 
   /** Algorithm 1. Every item update is the time-constrained join ⋈ᵀ
     * (Theorem 2): a chain item is `L^{j-1} ⋈ᵀ {σ}`, an `L_0` item is the
-    * joined prefix ⋈ᵀ the new subquery matches.
+    * joined prefix ⋈ᵀ the new subquery matches. Each step probes the item it
+    * reads by the vertex the new side binds to the item's key, never the
+    * whole item.
     */
   def insert(sigma: StreamEdge, guard: Guard): Vector[Matching.Match] = {
     val out    = Vector.newBuilder[Matching.Match]
-    val l0     = lists(0)
     var work   = 0L
     var capped = false
     for ((i, j) <- positionsMatching(sigma)) {
@@ -145,33 +227,61 @@ final class TimingEngine(
         guard.exec(key, m)(f)
       }
 
-      /** `left ⋈ᵀ right`: test every pair, then extend `store` at `level` by
-        * each compatible pair under the group's next step. No pair (or the
-        * work cap) makes σ discardable for the rest of the group (Lemma 1).
+      /** `small ⋈ᵀ` level `bigLevel` of list `bigList`: under the group's next
+        * (S) step, probe that level once per match of `small`; test every
+        * candidate against the match it was probed for, then extend `list`
+        * at `level` by each compatible pair under the next (X) step. The
+        * parent of a new match is the probed one when `bigList == list` and
+        * the `small` one otherwise. No pair (or the work cap) makes σ
+        * discardable for the rest of the group (Lemma 1).
         */
-      def joinStep(left: Vector[StoredMatch], leftIds: IndexedSeq[Int],
-                   right: Vector[StoredMatch], rightIds: IndexedSeq[Int],
-                   store: MatchStore, level: Int): Vector[StoredMatch] = {
+      def joinStep(small: Vector[StoredMatch], smallIds: IndexedSeq[Int],
+                   bigList: Int, bigLevel: Int, list: Int, level: Int): Vector[StoredMatch] = {
+        val big  = lists(bigList)
+        val key  = probeKeys(bigList)(bigLevel)
+        val ends = if (small.length == 1) null else new Array[Int](small.length) // candidate ranges
+        val cands = run {
+          if (ends == null) big.probe(bigLevel, key.of(small(0).edges))
+          else {
+            val b = Vector.newBuilder[StoredMatch]
+            var a = 0
+            var n = 0
+            while (a < small.length) {
+              val found = big.probe(bigLevel, key.of(small(a).edges))
+              b ++= found
+              n += found.length
+              ends(a) = n
+              a += 1
+            }
+            b.result()
+          }
+        }
         joinOps.increment()
-        work += left.size.toLong * right.size
-        val hits = mutable.ArrayBuffer[StoredMatch]() // compatible pairs, flattened
+        work += cands.length
+        val hits = mutable.ArrayBuffer[StoredMatch]() // compatible pairs as (parent, sub), flattened
         if (workCap > 0 && work > workCap) {
           if (!capped) { capped = true; cappedInserts.increment() }
         } else {
-          var a = 0
-          while (a < left.length) {
-            val l = left(a)
-            var b = 0
-            while (b < right.length) {
-              val r = right(b)
-              if (Matching.crossCompatible(q, leftIds, l.edges, rightIds, r.edges)) { hits += l; hits += r }
-              b += 1
+          pairTests.add(cands.length)
+          val bigIds = ids(bigList)(bigLevel)
+          var a      = 0
+          var c      = 0
+          while (a < small.length) {
+            val s   = small(a)
+            val end = if (ends == null) cands.length else ends(a)
+            while (c < end) {
+              val m = cands(c)
+              if (Matching.crossCompatible(q, smallIds, s.edges, bigIds, m.edges)) {
+                if (bigList == list) { hits += m; hits += s } else { hits += s; hits += m }
+              }
+              c += 1
             }
             a += 1
           }
         }
         if (hits.isEmpty) { guard.skip(steps.length - consumed); Vector.empty }
         else run {
+          val store   = lists(list)
           val written = Vector.newBuilder[StoredMatch]
           var h       = 0
           while (h < hits.length) { written += store.extend(level, hits(h), hits(h + 1)); h += 2 }
@@ -179,26 +289,24 @@ final class TimingEngine(
         }
       }
 
-      val sq     = decomposition.subqueries(i)
       val chain  = lists(i + 1)
       val single = StoredMatch(sigma, Vector(sigma)) // the one-edge match {σ}
       val delta: Vector[StoredMatch] =
         if (j == 0) run(Vector(chain.insertRoot(single)))
-        else joinStep(run(chain.read(j - 1)), sq.seq.take(j), Vector(single), Vector(sq.seq(j)), chain, j)
+        else joinStep(Vector(single), one(i)(j), i + 1, j - 1, i + 1, j)
 
-      if (delta.nonEmpty && j == sq.size - 1) {
-        if (k == 1) out ++= delta.map(sm => toMatch(sq.seq, sm.edges))
+      if (delta.nonEmpty && j == chain.numLevels - 1) {
+        if (k == 1) out ++= delta.map(sm => toMatch(resultIds, sm.edges))
         else {
           var cur =
-            if (i == 0) run(delta.map(l0.insertRoot))
-            else joinStep(run(l0.read(i - 1)), decomposition.prefixEdges(i - 1), delta, sq.seq, l0, i)
+            if (i == 0) run(delta.map(lists(0).insertRoot))
+            else joinStep(delta, ids(i + 1)(j), 0, i - 1, 0, i)
           var x = i + 1
           while (x < k && cur.nonEmpty) {
-            val subs = run(lists(x + 1).read(lists(x + 1).numLevels - 1))
-            cur = joinStep(cur, decomposition.prefixEdges(x - 1), subs, decomposition.subqueries(x).seq, l0, x)
+            cur = joinStep(cur, ids(0)(x - 1), x + 1, lists(x + 1).numLevels - 1, 0, x)
             x += 1
           }
-          if (cur.nonEmpty) out ++= cur.map(sm => toMatch(decomposition.prefixEdges(k - 1), sm.edges))
+          if (cur.nonEmpty) out ++= cur.map(sm => toMatch(resultIds, sm.edges))
         }
       }
     }
@@ -231,7 +339,7 @@ final class TimingEngine(
   /** Ω(Q): the last item of `L_0`, or of the only subquery's list when k = 1. */
   override def results: Vector[Matching.Match] = {
     val last = if (k == 1) lists(1) else lists(0)
-    last.read(last.numLevels - 1).map(sm => toMatch(decomposition.prefixEdges(k - 1), sm.edges))
+    last.read(last.numLevels - 1).map(sm => toMatch(resultIds, sm.edges))
   }
 
   override def spaceCells: Long = lists.map(_.spaceCells).sum

@@ -9,19 +9,46 @@ import repro.core.StreamEdge
   * subtree deletion). The same store serves a subquery's expansion list
   * and `L_0`. The caller sweeps exactly the levels an expiry can touch,
   * so σ is all the scan needs and `from` is not used.
+  *
+  * A level keyed by `keys(l)` (`null` for none) also files each match under
+  * its key vertex for [[probe]]; an expiry that removes matches there
+  * refiles the level, which its scan has just visited anyway.
   */
-final class IndStore(override val numLevels: Int) extends MatchStore {
+final class IndStore(keys: Array[VertexKey]) extends MatchStore {
 
-  private val items: Array[mutable.ArrayBuffer[IndexedSeq[StreamEdge]]] =
-    Array.fill(numLevels)(mutable.ArrayBuffer())
+  override val numLevels: Int = keys.length
 
-  private def add(level: Int, edges: IndexedSeq[StreamEdge]): StoredMatch = {
+  private type Edges = IndexedSeq[StreamEdge]
+
+  private val items: Array[mutable.ArrayBuffer[Edges]] = Array.fill(numLevels)(mutable.ArrayBuffer())
+
+  private val buckets: Array[mutable.LongMap[mutable.ArrayBuffer[Edges]]] = {
+    val b = new Array[mutable.LongMap[mutable.ArrayBuffer[Edges]]](numLevels)
+    var l = 0
+    while (l < numLevels) { if (keys(l) != null) b(l) = mutable.LongMap(); l += 1 }
+    b
+  }
+
+  private def file(level: Int, edges: Edges): Unit = {
+    val v      = keys(level).of(edges)
+    var bucket = buckets(level).getOrNull(v)
+    if (bucket == null) { bucket = new mutable.ArrayBuffer(1); buckets(level).update(v, bucket) }
+    bucket += edges
+  }
+
+  private def add(level: Int, edges: Edges): StoredMatch = {
     items(level) += edges
+    if (buckets(level) != null) file(level, edges)
     StoredMatch(edges, edges)
   }
 
   override def read(level: Int): Vector[StoredMatch] =
     items(level).iterator.map(m => StoredMatch(m, m)).toVector
+
+  override def probe(level: Int, v: Long): Vector[StoredMatch] = {
+    val bucket = buckets(level).getOrNull(v)
+    if (bucket == null) Vector.empty else bucket.iterator.map(m => StoredMatch(m, m)).toVector
+  }
 
   override def insertRoot(sub: StoredMatch): StoredMatch = add(0, sub.edges)
 
@@ -31,7 +58,12 @@ final class IndStore(override val numLevels: Int) extends MatchStore {
   override def newExpiry(sigma: StreamEdge, from: Int): Expiry = level => {
     val before = items(level).length
     items(level).filterInPlace(m => !m.exists(_.id == sigma.id))
-    before - items(level).length
+    val removed = before - items(level).length
+    if (removed > 0 && buckets(level) != null) {
+      buckets(level).clear()
+      items(level).foreach(file(level, _))
+    }
+    removed
   }
 
   override def size(level: Int): Int = items(level).size

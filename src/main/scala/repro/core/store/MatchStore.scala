@@ -9,12 +9,28 @@ import repro.core.StreamEdge
   */
 final case class StoredMatch(ref: AnyRef, edges: IndexedSeq[StreamEdge])
 
+/** Where a match holds a data vertex: endpoint `src` (else `dst`) of the
+  * edge at position `pos` of its sequential form. A store level keyed by a
+  * `VertexKey` indexes its matches by that vertex, so a join step that
+  * binds the same query vertex on its other side probes one bucket.
+  */
+final case class VertexKey(pos: Int, src: Boolean) {
+  def of(edges: IndexedSeq[StreamEdge]): Long = {
+    val e = edges(pos)
+    if (src) e.src else e.dst
+  }
+}
+
 /** Storage for one expansion list (§III). Level `l` (0-based) holds the
   * matches of item `l + 1`: level 0 the sub-matches given to `insertRoot`,
   * level `l` matches of level `l - 1` each extended by one sub-match. In a
   * TC-subquery's list (§III-A3) that is the one-edge match {σ}; in `L_0`
   * (§III-B) a complete match of the next subquery, so `L_0`'s `edges`
   * follow `Decomposition.prefixEdges`.
+  *
+  * A level may be keyed by a [[VertexKey]] (given at construction, `null`
+  * for an unkeyed level); [[probe]] then returns the level's matches that
+  * hold a given data vertex there.
   *
   * Implementations: [[MsChainStore]] and [[MsJoinStore]] (MS-tree, §IV)
   * and [[IndStore]] (independent match storage — the Timing-IND ablation).
@@ -26,6 +42,9 @@ trait MatchStore {
 
   /** Ω of the item at `level`: its live matches (materialized snapshot). */
   def read(level: Int): Vector[StoredMatch]
+
+  /** The live matches of keyed `level` whose key vertex is `v`. */
+  def probe(level: Int, v: Long): Vector[StoredMatch]
 
   /** Insert `sub` as a new match of level 0. */
   def insertRoot(sub: StoredMatch): StoredMatch

@@ -4,7 +4,8 @@ import scala.collection.mutable
 import repro.core.StreamEdge
 
 /** MS-tree-backed expansion list of a TC-subquery (§IV); a sub-match is
-  * one edge, which is the node's payload.
+  * one edge, which is the node's payload. `keys(l)` keys level `l` for
+  * [[probe]] (`null` for an unkeyed level).
   *
   * Besides the tree, each level keeps an index `edge id → nodes` so that
   * expiry finds the nodes containing an expired edge in time linear in the
@@ -14,33 +15,36 @@ import repro.core.StreamEdge
   * liveness; a bucket disappears wholesale when its edge expires, so
   * staleness is window-bounded.
   */
-final class MsChainStore(override val numLevels: Int) extends MatchStore {
+final class MsChainStore(keys: Array[VertexKey]) extends MatchStore {
 
-  private val tree = new MsTree[StreamEdge](numLevels)
-  private val index: Array[mutable.HashMap[Long, mutable.ArrayBuffer[MsNode[StreamEdge]]]] =
-    Array.fill(numLevels)(mutable.HashMap())
+  override val numLevels: Int = keys.length
 
-  private def register(n: MsNode[StreamEdge]): MsNode[StreamEdge] = {
-    index(n.level).getOrElseUpdate(n.payload.id, mutable.ArrayBuffer()) += n
-    n
+  private val tree = new MsTree[StreamEdge](keys)
+  private val index = new Array[mutable.LongMap[mutable.ArrayBuffer[MsNode[StreamEdge]]]](numLevels)
+  locally {
+    var l = 0
+    while (l < numLevels) { index(l) = new mutable.LongMap; l += 1 }
+  }
+
+  private def register(n: MsNode[StreamEdge]): StoredMatch = {
+    val ix = index(n.level)
+    var b  = ix.getOrNull(n.payload.id)
+    if (b == null) { b = new mutable.ArrayBuffer(1); ix.update(n.payload.id, b) }
+    b += n
+    StoredMatch(n, n.cachedPath)
   }
 
   override def read(level: Int): Vector[StoredMatch] =
     tree.levelNodes(level).map(n => StoredMatch(n, n.cachedPath))
 
-  override def insertRoot(sub: StoredMatch): StoredMatch = {
-    val n = register(tree.add(null, sub.edges(0), 0))
-    n.cachedPath = sub.edges
-    StoredMatch(n, sub.edges)
-  }
+  override def probe(level: Int, v: Long): Vector[StoredMatch] = tree.probe(level, v)
+
+  override def insertRoot(sub: StoredMatch): StoredMatch =
+    register(tree.add(null, sub.edges(0), 0, sub.edges))
 
   override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val p     = parent.ref.asInstanceOf[MsNode[StreamEdge]]
     val sigma = sub.edges(0)
-    val n     = register(tree.add(p, sigma, level))
-    val edges = parent.edges :+ sigma
-    n.cachedPath = edges
-    StoredMatch(n, edges)
+    register(tree.add(parent.ref.asInstanceOf[MsNode[StreamEdge]], sigma, level, parent.edges :+ sigma))
   }
 
   override def newExpiry(sigma: StreamEdge, from: Int): Expiry =

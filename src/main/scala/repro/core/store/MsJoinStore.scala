@@ -7,28 +7,30 @@ import repro.core.StreamEdge
   * is never re-stored). Expired entries are found by scanning level
   * `from` for dead leaf references, as Algorithm 2 prescribes: the engine
   * starts a pass at the subquery whose complete matches σ removed.
+  * `keys(l)` keys level `l` for [[probe]] (`null` for an unkeyed level).
   */
-final class MsJoinStore(override val numLevels: Int) extends MatchStore {
+final class MsJoinStore(keys: Array[VertexKey]) extends MatchStore {
 
-  private val tree = new MsTree[MsNode[StreamEdge]](numLevels)
+  override val numLevels: Int = keys.length
+
+  private val tree = new MsTree[MsNode[StreamEdge]](keys)
 
   private def leaf(sub: StoredMatch): MsNode[StreamEdge] = sub.ref.asInstanceOf[MsNode[StreamEdge]]
 
   override def read(level: Int): Vector[StoredMatch] =
     tree.levelNodes(level).map(n => StoredMatch(n, n.cachedPath))
 
+  override def probe(level: Int, v: Long): Vector[StoredMatch] = tree.probe(level, v)
+
   override def insertRoot(sub: StoredMatch): StoredMatch = {
-    val n = tree.add(null, leaf(sub), 0)
-    n.cachedPath = sub.edges
-    StoredMatch(n, sub.edges)
+    val n = tree.add(null, leaf(sub), 0, sub.edges)
+    StoredMatch(n, n.cachedPath)
   }
 
   override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val p     = parent.ref.asInstanceOf[MsNode[MsNode[StreamEdge]]]
-    val n     = tree.add(p, leaf(sub), level)
-    val edges = parent.edges ++ sub.edges
-    n.cachedPath = edges
-    StoredMatch(n, edges)
+    val p = parent.ref.asInstanceOf[MsNode[MsNode[StreamEdge]]]
+    val n = tree.add(p, leaf(sub), level, parent.edges ++ sub.edges)
+    StoredMatch(n, n.cachedPath)
   }
 
   override def newExpiry(sigma: StreamEdge, from: Int): Expiry =

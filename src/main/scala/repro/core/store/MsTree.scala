@@ -7,52 +7,87 @@ import repro.core.StreamEdge
   *
   * Besides child links, a node keeps a link to its parent and sits in a
   * per-level doubly linked list — the extra links the paper adds over a
-  * plain trie (§IV-C). `alive` is volatile because the L0 tree reads leaf
-  * liveness across lock domains (§V-C).
+  * plain trie (§IV-C). On a keyed level it also sits in the bucket of its
+  * key vertex. `alive` is volatile because the L0 tree reads leaf liveness
+  * across lock domains (§V-C).
+  *
+  * `cachedPath` holds the edges of the root→this path, set at insertion (an
+  * immutable `Vector` that extends the parent's, so prefixes share structure
+  * — the persistent-collection analogue of the trie's prefix sharing).
   */
-final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P]) {
-  @volatile var alive: Boolean        = true
-  var prev: MsNode[P]                 = _
-  var next: MsNode[P]                 = _
-  val children: mutable.Set[MsNode[P]] = mutable.LinkedHashSet()
+final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P],
+                      val cachedPath: IndexedSeq[StreamEdge]) {
+  @volatile var alive: Boolean = true
+  var prev: MsNode[P]          = _
+  var next: MsNode[P]          = _
+  // Bucket links: `keyNext` is null at the bucket's tail, and the head's
+  // `keyPrev` is the tail, so appending needs no tail map.
+  private[store] var keyPrev: MsNode[P] = _
+  private[store] var keyNext: MsNode[P] = _
+  // Allocated with the first child, so leaves never hold one.
+  private[store] var kids: mutable.LinkedHashSet[MsNode[P]] = _
 
-  /** The edges of the root→this path, set once at insertion (an immutable
-    * Vector that extends the parent's, so prefixes share structure —
-    * the persistent-collection analogue of the trie's prefix sharing).
-    * Immutable after insert, hence safe for concurrent readers.
-    */
-  var cachedPath: IndexedSeq[StreamEdge] = _
+  /** The node's children; empty for a leaf. */
+  def children: collection.Set[MsNode[P]] = if (kids == null) Set.empty else kids
 }
 
 /** Match-store tree (§IV): a trie variant whose level-`i` nodes are the
   * matches of expansion-list item `L^{i+1}`, with per-level doubly linked
   * lists for horizontal access and *partial removal* for concurrent safety.
+  * A level with a key (`keys(level)`, `null` for none) also keeps a map from
+  * each key vertex to an intrusive bucket of that level's live nodes.
   *
   * Thread-safety contract (matches the paper's item-lock granularity):
-  *   - the level-`l` linked list, the `children` sets of level-`l-1` nodes,
-  *     and the `alive` flags of level-`l` nodes are only mutated while the
-  *     caller holds the X lock of expansion-list item `l+1`;
-  *   - `payload`, `level` and `parent` are immutable, so backtracking a
-  *     path upward is always safe, even through partially removed nodes —
-  *     exactly the property Theorem 6 relies on.
+  *   - the level-`l` linked list and buckets, the `children` sets of
+  *     level-`l-1` nodes, and the `alive` flags of level-`l` nodes are only
+  *     mutated while the caller holds the X lock of expansion-list item
+  *     `l+1`; [[probe]] only reads them;
+  *   - `payload`, `level`, `parent` and `cachedPath` are immutable, so
+  *     backtracking a path upward is always safe, even through partially
+  *     removed nodes — exactly the property Theorem 6 relies on.
   */
-final class MsTree[P](val numLevels: Int) {
+final class MsTree[P](keys: Array[VertexKey]) {
 
-  // Sentinel heads/tails so unlinking needs no special cases.
-  private val heads = Array.fill(numLevels)(new MsNode[P](null.asInstanceOf[P], -1, null))
-  private val tails = Array.fill(numLevels)(new MsNode[P](null.asInstanceOf[P], -1, null))
-  (0 until numLevels).foreach { l => heads(l).next = tails(l); tails(l).prev = heads(l) }
+  val numLevels: Int = keys.length
+
+  // Sentinel heads/tails so unlinking needs no special cases, and per keyed
+  // level the map from key vertex to bucket head (null for an unkeyed level).
+  private val heads   = new Array[MsNode[P]](numLevels)
+  private val tails   = new Array[MsNode[P]](numLevels)
+  private val buckets = new Array[mutable.LongMap[MsNode[P]]](numLevels)
+  locally {
+    var l = 0
+    while (l < numLevels) {
+      heads(l) = new MsNode[P](null.asInstanceOf[P], -1, null, null)
+      tails(l) = new MsNode[P](null.asInstanceOf[P], -1, null, null)
+      heads(l).next = tails(l); tails(l).prev = heads(l)
+      if (keys(l) != null) buckets(l) = new mutable.LongMap
+      l += 1
+    }
+  }
 
   private val counts = new java.util.concurrent.atomic.AtomicLongArray(numLevels)
 
-  /** Append a node at `level` (root children when `parent == null`). */
-  def add(parent: MsNode[P], payload: P, level: Int): MsNode[P] = {
+  /** Append a node at `level` (root children when `parent == null`);
+    * `path` is its root→node edges, from which a keyed level reads the key.
+    */
+  def add(parent: MsNode[P], payload: P, level: Int, path: IndexedSeq[StreamEdge]): MsNode[P] = {
     require(level == (if (parent == null) 0 else parent.level + 1), "level/parent mismatch")
-    val n = new MsNode[P](payload, level, parent)
-    if (parent != null) parent.children += n
+    val n = new MsNode[P](payload, level, parent, path)
+    if (parent != null) {
+      if (parent.kids == null) parent.kids = mutable.LinkedHashSet()
+      parent.kids += n
+    }
     val t = tails(level)
     n.prev = t.prev; n.next = t
     t.prev.next = n; t.prev = n
+    val b = buckets(level)
+    if (b != null) {
+      val v = keys(level).of(path)
+      val h = b.getOrNull(v)
+      if (h == null) { n.keyPrev = n; b.update(v, n) }
+      else { h.keyPrev.keyNext = n; n.keyPrev = h.keyPrev; h.keyPrev = n }
+    }
     counts.incrementAndGet(level)
     n
   }
@@ -65,6 +100,19 @@ final class MsTree[P](val numLevels: Int) {
     b.result()
   }
 
+  /** The live nodes of keyed `level` whose key vertex is `v`, in insertion
+    * order, as stored matches.
+    */
+  def probe(level: Int, v: Long): Vector[StoredMatch] = {
+    var n = buckets(level).getOrNull(v)
+    if (n == null) Vector.empty
+    else {
+      val b = Vector.newBuilder[StoredMatch]
+      while (n != null) { b += StoredMatch(n, n.cachedPath); n = n.keyNext }
+      b.result()
+    }
+  }
+
   /** Payloads along the path root→n (the match in sequential form). */
   def pathPayloads(n: MsNode[P]): IndexedSeq[P] = {
     val buf = new Array[Any](n.level + 1)
@@ -73,17 +121,31 @@ final class MsTree[P](val numLevels: Int) {
     buf.toIndexedSeq.asInstanceOf[IndexedSeq[P]]
   }
 
-  /** Partial removal (§V-C, Fig 14): unlink from the level list and from
-    * the parent's child set; keep the upward pointer and the node's own
-    * child set so concurrent earlier readers can still backtrack and the
-    * deleter can still find the node's descendants.
+  /** Partial removal (§V-C, Fig 14): unlink from the level list, the key
+    * bucket and the parent's child set; keep the upward pointer and the
+    * node's own child set so concurrent earlier readers can still backtrack
+    * and the deleter can still find the node's descendants.
     */
   def partialRemove(n: MsNode[P]): Unit = {
     if (!n.alive) return
     n.alive = false
     n.prev.next = n.next
     n.next.prev = n.prev
-    if (n.parent != null) n.parent.children -= n
+    val b = buckets(n.level)
+    if (b != null) {
+      val next = n.keyNext
+      if (n.keyPrev.keyNext ne n) { // n heads its bucket
+        val v = keys(n.level).of(n.cachedPath)
+        if (next == null) b -= v
+        else { next.keyPrev = n.keyPrev; b.update(v, next) }
+      } else {
+        n.keyPrev.keyNext = next
+        if (next != null) next.keyPrev = n.keyPrev
+        else b(keys(n.level).of(n.cachedPath)).keyPrev = n.keyPrev // n was the tail
+      }
+      n.keyPrev = null; n.keyNext = null
+    }
+    if (n.parent != null) n.parent.kids -= n
     counts.decrementAndGet(n.level)
   }
 
@@ -96,7 +158,7 @@ final class MsTree[P](val numLevels: Int) {
     level => {
       val targets = mutable.ArrayBuffer[MsNode[P]]()
       // Children of nodes removed one level up (read here, under this level's lock).
-      removedPrev.foreach(n => targets ++= n.children)
+      removedPrev.foreach(n => if (n.kids != null) targets ++= n.kids)
       targets ++= seeds(level)
       val removed = targets.filter(_.alive).toList
       removed.foreach(partialRemove)

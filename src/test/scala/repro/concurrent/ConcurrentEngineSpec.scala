@@ -104,4 +104,23 @@ class ConcurrentEngineSpec extends AnyFunSuite {
       assert(conc.engine.spaceCells == 0)
     } finally conc.shutdown()
   }
+
+  test("a self-loop's expiry dispatches no transaction") {
+    val q = QueryGraph(
+      Seq(QueryVertex(0, "A"), QueryVertex(1, "A"), QueryVertex(2, "A")),
+      Seq(QueryEdge(1, 0, 1, "-"), QueryEdge(2, 1, 2, "-")),
+      Set((1, 2)),
+    )
+    val conc = new ConcurrentEngine(new TimingEngine(q, Decomposer.decompose(q), StoreMode.MsTree), 2)
+    try {
+      val driver = new ConcurrentWindowDriver(conc, 10)
+      driver.advance(StreamEdge(1, 50, "A", 50, "A", "-", 1))  // label-matching self-loop
+      driver.advance(StreamEdge(2, 900, "Z", 901, "Z", "zzz", 20)) // expires it, matches nothing
+      conc.quiesce()
+      assert(conc.dispatched == 0)
+      driver.advance(StreamEdge(3, 50, "A", 51, "A", "-", 21))
+      conc.quiesce()
+      assert(conc.dispatched == 1 && conc.engine.spaceCells == 1)
+    } finally conc.shutdown()
+  }
 }

@@ -35,6 +35,24 @@ class EnginePlanSpec extends AnyFunSuite {
     assert(eng.deletePlan(alien).isEmpty)
   }
 
+  test("a label-matching self-loop has empty insert and delete plans") {
+    // Query edges A→A: a self-loop A-vertex edge matches their labels but no
+    // query edge, since query graphs have no self-loops.
+    val q = QueryGraph(
+      Seq(QueryVertex(0, "A"), QueryVertex(1, "A"), QueryVertex(2, "A")),
+      Seq(QueryEdge(1, 0, 1, "-"), QueryEdge(2, 1, 2, "-")),
+      Set((1, 2)),
+    )
+    for (mode <- Seq(StoreMode.MsTree, StoreMode.Independent)) {
+      val eng  = new TimingEngine(q, Decomposer.decompose(q), mode)
+      val loop = StreamEdge(7, 50, "A", 50, "A", "-", 1)
+      assert(eng.insertPlan(loop).isEmpty && eng.deletePlan(loop).isEmpty, s"$mode")
+      assert(eng.insert(loop).isEmpty && eng.spaceCells == 0)
+      val plain = StreamEdge(8, 50, "A", 51, "A", "-", 2)
+      assert(eng.insertPlan(plain).nonEmpty && eng.deletePlan(plain).nonEmpty)
+    }
+  }
+
   test("first-chain-edge insert plans a single X") {
     val eng = engine
     val s6  = e(va, vb, 1) // matches ε6 only: first edge of the {6,5,4} chain

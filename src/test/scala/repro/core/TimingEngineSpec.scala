@@ -181,6 +181,25 @@ class TimingEngineSpec extends AnyFunSuite {
     }
   }
 
+  // The dense stream of EnginePlanSpec's work-cap case, uncapped: many
+  // matches share each key vertex, so every probe walks a long bucket. The
+  // key tables follow the join order, so each decomposition kind gets its own
+  // case.
+  private lazy val dense = GraphStreams.traffic(300, 8, nPorts = 3, seed = 5)
+  private lazy val denseQ = QueryGenerator.fromStream(dense, 4, QueryGenerator.RandomOrder, 11, 40)
+    .getOrElse(fail("query generation failed"))
+  for ((kind, mkD) <- Seq[(String, QueryGraph => Decomposition)](
+         "paper"            -> (q => Decomposer.decompose(q)),
+         "random cover"     -> (q => Decomposer.randomDecompose(q, 3)),
+         "random join order" -> (q => Decomposer.randomJoinOrder(q, 3)),
+         "random both"      -> (q => Decomposer.randomBoth(q, 3)),
+       )) {
+    test(s"probe joins on dense buckets equal brute force ($kind decomposition)") {
+      for (mode <- Seq(StoreMode.MsTree, StoreMode.Independent))
+        randomizedCheck(s"dense-$kind-$mode", dense, denseQ, 40, mode, mkD(denseQ))
+    }
+  }
+
   test("full-order and empty-order queries also track brute force") {
     val stream = GraphStreams.wikiTalk(150, 10, seed = 77)
     for (m <- Seq(QueryGenerator.FullOrder, QueryGenerator.EmptyOrder)) {

@@ -15,8 +15,10 @@ class StoreSpec extends AnyFunSuite {
   /** The one-edge sub-match a subquery's list extends by. */
   private def one(e: StreamEdge): StoredMatch = StoredMatch(e, Vector(e))
 
+  private def unkeyed(numLevels: Int): Array[VertexKey] = new Array(numLevels)
+
   private def mkStores(numLevels: Int): Seq[MatchStore] =
-    Seq(new MsChainStore(numLevels), new IndStore(numLevels))
+    Seq(new MsChainStore(unkeyed(numLevels)), new IndStore(unkeyed(numLevels)))
 
   private def contents(s: MatchStore, j: Int): Set[Seq[Long]] =
     s.read(j).map(_.edges.map(_.id).toSeq).toSet
@@ -99,8 +101,8 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("join stores mirror chain contents (Ms references, Ind materializes)") {
-    val chains = IndexedSeq[MatchStore](new MsChainStore(2), new MsChainStore(1))
-    val js     = new MsJoinStore(2)
+    val chains = IndexedSeq[MatchStore](new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)))
+    val js     = new MsJoinStore(unkeyed(2))
     val r      = chains(0).insertRoot(one(edge(1, 1)))
     val c0     = chains(0).extend(1, r, one(edge(3, 3)))
     val c1     = chains(1).insertRoot(one(edge(7, 7)))
@@ -111,7 +113,7 @@ class StoreSpec extends AnyFunSuite {
     // Ms join store costs 1 cell per node (references, not copies)
     assert(js.spaceCells == 2)
 
-    val ind  = new IndStore(2)
+    val ind  = new IndStore(unkeyed(2))
     val il0  = ind.insertRoot(c0)
     ind.extend(1, il0, c1)
     assert(ind.read(1).map(_.edges.map(_.id)) == Vector(Vector(1L, 3L, 7L)))
@@ -119,8 +121,8 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("MsJoinStore expiry follows dead chain leaves") {
-    val chains = IndexedSeq[MatchStore](new MsChainStore(1), new MsChainStore(1))
-    val js     = new MsJoinStore(2)
+    val chains = IndexedSeq[MatchStore](new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(1)))
+    val js     = new MsJoinStore(unkeyed(2))
     val c0a    = chains(0).insertRoot(one(edge(1, 1)))
     val c0b    = chains(0).insertRoot(one(edge(2, 2)))
     val c1     = chains(1).insertRoot(one(edge(7, 7)))
@@ -136,7 +138,7 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("IndStore expiry scans by membership") {
-    val ind = new IndStore(2)
+    val ind = new IndStore(unkeyed(2))
     val a   = StoredMatch(null, Vector(edge(1, 1)))
     val b   = StoredMatch(null, Vector(edge(2, 2)))
     val c   = StoredMatch(null, Vector(edge(7, 7)))
@@ -160,5 +162,81 @@ class StoreSpec extends AnyFunSuite {
     }
     assert(ms.spaceCells == 4)
     assert(ind.spaceCells == 9)
+  }
+
+  /** Every keyed level: `probe(level, v)` is `read(level)` filtered by the
+    * level's key, in the same order, for every vertex of the stream.
+    */
+  private def probesAgree(s: MatchStore, keys: Array[VertexKey], vertices: Range): Unit =
+    for (l <- keys.indices if keys(l) != null; v <- vertices) {
+      val ids = (ms: Vector[StoredMatch]) => ms.map(_.edges.map(_.id))
+      assert(ids(s.probe(l, v)) == ids(s.read(l).filter(m => keys(l).of(m.edges) == v)),
+        s"${s.getClass.getSimpleName} level $l vertex $v")
+    }
+
+  /** Edges over 4 vertices, so buckets collide. */
+  private def denseEdge(rnd: scala.util.Random, id: Long): StreamEdge =
+    StreamEdge(id, rnd.nextInt(4).toLong, "A", rnd.nextInt(4).toLong, "A", "-", id)
+
+  test("chain stores: probe equals the keyed filter of read after interleaved inserts and expiries") {
+    val keys = Array(VertexKey(0, src = false), VertexKey(1, src = true), null)
+    for (s <- Seq(new MsChainStore(keys), new IndStore(keys))) {
+      val rnd  = new scala.util.Random(17)
+      val live = scala.collection.mutable.ArrayBuffer[StreamEdge]()
+      val peak = new Array[Int](3)
+      for (id <- 1L to 400L) {
+        val e = denseEdge(rnd, id)
+        rnd.nextInt(4) match {
+          case 0 if live.nonEmpty => // expire an edge, wherever it sits
+            val gone = live.remove(rnd.nextInt(live.size))
+            val ex   = s.newExpiry(gone, from = 0)
+            (0 until 3).foreach(ex.processLevel)
+          case r =>
+            val level = math.max(r - 1, 0)
+            val parents = if (level == 0) Vector.empty else s.read(level - 1)
+            if (level == 0) s.insertRoot(one(e))
+            else if (parents.nonEmpty) s.extend(level, parents(rnd.nextInt(parents.size)), one(e))
+            live += e
+        }
+        probesAgree(s, keys, 0 until 4)
+        (0 until 3).foreach(l => peak(l) = math.max(peak(l), s.size(l)))
+      }
+      assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
+    }
+  }
+
+  test("MsJoinStore: probe equals the keyed filter of read after interleaved inserts and expiries") {
+    val keys   = Array(VertexKey(0, src = true), VertexKey(2, src = false), null)
+    val chains = IndexedSeq(new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)))
+    val js     = new MsJoinStore(keys)
+    val rnd    = new scala.util.Random(23)
+    val live   = scala.collection.mutable.ArrayBuffer[(StreamEdge, Int)]()
+    val peak   = new Array[Int](3)
+    for (id <- 1L to 400L) {
+      val e = denseEdge(rnd, id)
+      rnd.nextInt(4) match {
+        case 0 if live.nonEmpty => // expire a leaf edge of chain i, then L_0 from level i
+          val (gone, i) = live.remove(rnd.nextInt(live.size))
+          val ex        = chains(i).newExpiry(gone, from = 0)
+          (0 until chains(i).numLevels).foreach(ex.processLevel)
+          val jex = js.newExpiry(gone, from = i)
+          (i until 3).foreach(jex.processLevel)
+        case r =>
+          val i = math.max(r - 1, 0)
+          val c = chains(i)
+          val leaf =
+            if (c.numLevels == 1) c.insertRoot(one(e))
+            else c.extend(1, c.insertRoot(one(e)), one(denseEdge(rnd, id + 1000)))
+          if (i == 0) js.insertRoot(leaf)
+          else {
+            val parents = js.read(i - 1)
+            if (parents.nonEmpty) js.extend(i, parents(rnd.nextInt(parents.size)), leaf)
+          }
+          live += ((e, i))
+      }
+      probesAgree(js, keys, 0 until 4)
+      (0 until 3).foreach(l => peak(l) = math.max(peak(l), js.size(l)))
+    }
+    assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
   }
 }
