@@ -2,7 +2,6 @@ package repro.concurrent
 
 import java.util.concurrent.{ConcurrentLinkedQueue, Executors, TimeUnit}
 import java.util.concurrent.atomic.AtomicLong
-import scala.collection.mutable
 
 import repro.core._
 
@@ -73,22 +72,17 @@ final class ConcurrentEngine(
 
 /** Sliding-window driver for the concurrent engines: expiries and the
   * insertion of each arriving edge are dispatched in chronological order,
-  * exactly like [[repro.core.WindowDriver]] does for the serial engine.
-  * Like it, it rejects an edge whose timestamp is not after the previous
-  * one (Definition 1).
+  * on the same [[SlidingWindow]] as [[repro.core.WindowDriver]] uses for
+  * the serial engine.
   */
 final class ConcurrentWindowDriver(val ce: ConcurrentEngine, val window: Long) {
 
-  private val live   = mutable.Queue[StreamEdge]()
-  private var lastTs = Long.MinValue
+  private val live = new SlidingWindow(window, ce.submitDelete)
+
+  def snapshot: Vector[StreamEdge] = live.snapshot
 
   def advance(sigma: StreamEdge): Unit = {
-    require(sigma.ts > lastTs,
-      s"edge ${sigma.id}: timestamp ${sigma.ts} is not after $lastTs (Definition 1)")
-    lastTs = sigma.ts
-    while (live.nonEmpty && live.head.ts <= sigma.ts - window)
-      ce.submitDelete(live.dequeue())
-    live += sigma
+    live.slide(sigma)
     ce.submitInsert(sigma)
   }
 

@@ -20,7 +20,7 @@ object StoreMode {
 trait EngineApi {
   /** Process an incoming edge; returns the *new* complete matches. */
   def insert(sigma: StreamEdge): Vector[Matching.Match]
-  /** Process an expired edge. */
+  /** Process an expired edge, which must be the oldest live one (Definition 2). */
   def delete(sigma: StreamEdge): Unit
   /** Current answers Ω(Q). */
   def results: Vector[Matching.Match]
@@ -188,14 +188,14 @@ final class TimingEngine(
   def insertPlan(sigma: StreamEdge): Vector[(ItemKey, LockMode)] =
     positionsMatching(sigma).flatMap { case (i, j) => groupSteps(i, j) }.toVector
 
-  /** Does σ match a position of subquery `i`'s sequence, i.e. can Del(σ)
-    * remove matches of that list (Algorithm 2)? Never for a self-loop, which
-    * no insert stores.
+  /** Can Del(σ) remove matches of subquery `i`'s list (Algorithm 2)? Only if
+    * σ matches the first edge, a match's oldest: a match holding σ later left
+    * the window with that edge. Never for a self-loop, which no insert stores.
     */
   private def triggers(i: Int, sigma: StreamEdge): Boolean =
-    sigma.src != sigma.dst && decomposition.subqueries(i).seq.exists(e => q.matchesEdge(q.edgeById(e), sigma))
+    sigma.src != sigma.dst && q.matchesEdge(q.edgeById(decomposition.subqueries(i).seq(0)), sigma)
 
-  /** Full lock plan of Del(σ); empty iff σ matches no query edge. */
+  /** Full lock plan of Del(σ); empty iff σ matches no subquery's first edge. */
   def deletePlan(sigma: StreamEdge): Vector[(ItemKey, LockMode)] = {
     val b = Vector.newBuilder[(ItemKey, LockMode)]
     for (i <- 0 until k if triggers(i, sigma)) {
@@ -315,7 +315,7 @@ final class TimingEngine(
 
   override def delete(sigma: StreamEdge): Unit = delete(sigma, Guard.NoOp)
 
-  /** Algorithm 2 (full level sweep; empty levels are O(1)). */
+  /** Algorithm 2 for σ, the oldest live edge (full level sweep; empty levels are O(1)). */
   def delete(sigma: StreamEdge, guard: Guard): Unit = {
     for (i <- 0 until k if triggers(i, sigma)) {
       val chain     = lists(i + 1)

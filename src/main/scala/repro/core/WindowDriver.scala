@@ -2,12 +2,11 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Drives an engine over a stream under the time-based sliding window
-  * (Definition 2): before inserting an edge at time `t`, every live edge
-  * with timestamp `≤ t − |W|` is expired, in timestamp order. Arrivals
-  * must have unique, strictly increasing timestamps (Definition 1).
+/** The live edges of a time-based sliding window (Definition 2), shared by
+  * both window drivers. Edges leave oldest first, so `expire` always gets
+  * the oldest live edge, as [[EngineApi.delete]] requires.
   */
-final class WindowDriver(val engine: EngineApi, val window: Long) {
+final class SlidingWindow(window: Long, expire: StreamEdge => Unit) {
 
   private val live   = mutable.Queue[StreamEdge]()
   private var lastTs = Long.MinValue
@@ -15,20 +14,31 @@ final class WindowDriver(val engine: EngineApi, val window: Long) {
   /** Edges currently inside the window (the snapshot's edge set). */
   def snapshot: Vector[StreamEdge] = live.toVector
 
-  /** Expire edges that fall out of the window as of time `now`. Private:
-    * a `now` later than the next arrival would delete edges that are still
-    * live at that arrival's timestamp.
+  /** Slide to σ's timestamp: every live edge with timestamp `≤ σ.ts − |W|`
+    * goes to `expire`, oldest first, then σ is admitted. σ is rejected unless
+    * its timestamp is after the previous one (Definition 1).
     */
-  private def expireUpTo(now: Long): Unit =
-    while (live.nonEmpty && live.head.ts <= now - window) engine.delete(live.dequeue())
-
-  /** Slide the window to σ's timestamp and insert σ; returns new matches. */
-  def advance(sigma: StreamEdge): Vector[Matching.Match] = {
+  def slide(sigma: StreamEdge): Unit = {
     require(sigma.ts > lastTs,
       s"edge ${sigma.id}: timestamp ${sigma.ts} is not after $lastTs (Definition 1)")
     lastTs = sigma.ts
-    expireUpTo(sigma.ts)
+    while (live.nonEmpty && live.head.ts <= sigma.ts - window) expire(live.dequeue())
     live += sigma
+  }
+}
+
+/** Drives an engine over a stream on a [[SlidingWindow]]: each arrival
+  * first expires what left the window, then is inserted.
+  */
+final class WindowDriver(val engine: EngineApi, val window: Long) {
+
+  private val live = new SlidingWindow(window, engine.delete)
+
+  def snapshot: Vector[StreamEdge] = live.snapshot
+
+  /** Slide the window to σ's timestamp and insert σ; returns new matches. */
+  def advance(sigma: StreamEdge): Vector[Matching.Match] = {
+    live.slide(sigma)
     engine.insert(sigma)
   }
 

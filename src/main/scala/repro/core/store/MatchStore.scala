@@ -54,8 +54,8 @@ trait MatchStore {
     */
   def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch
 
-  /** Start an expiry pass that removes every match containing σ at the
-    * levels `from until numLevels`. The caller must invoke
+  /** Start an expiry pass that removes every match containing σ, the oldest
+    * live edge, at the levels `from until numLevels`. The caller must invoke
     * `processLevel(l)` for each of those levels in order (each under the
     * item's X lock when concurrent).
     */

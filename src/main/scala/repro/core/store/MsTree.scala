@@ -100,6 +100,9 @@ final class MsTree[P](keys: Array[VertexKey]) {
     b.result()
   }
 
+  /** The oldest live node of `level`: its list is in insertion order. */
+  def oldest(level: Int): Option[MsNode[P]] = Option(heads(level).next).filter(_ ne tails(level))
+
   /** The live nodes of keyed `level` whose key vertex is `v`, in insertion
     * order, as stored matches.
     */

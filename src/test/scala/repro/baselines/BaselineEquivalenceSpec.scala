@@ -25,7 +25,7 @@ class BaselineEquivalenceSpec extends AnyFunSuite {
       val reported = emb.flatMap(eng.insert)
       assert(reported.size == 1, s"$name reported ${reported.size}")
       assert(keys(eng.results) == bruteForce(paperQ, emb), name)
-      eng.delete(emb(3))
+      eng.delete(emb.head) // the oldest edge, as the window expires it
       assert(eng.results.isEmpty, s"$name after expiry")
     }
   }

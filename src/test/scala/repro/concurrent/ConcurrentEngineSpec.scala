@@ -1,6 +1,8 @@
 package repro.concurrent
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.concurrent.{Await, ExecutionContext, Future, TimeoutException}
+import scala.concurrent.duration._
 import scala.jdk.CollectionConverters._
 
 import repro.core._
@@ -122,5 +124,40 @@ class ConcurrentEngineSpec extends AnyFunSuite {
       conc.quiesce()
       assert(conc.dispatched == 1 && conc.engine.spaceCells == 1)
     } finally conc.shutdown()
+  }
+
+  test("a non-first-position edge's expiry dispatches no transaction") {
+    val conc = new ConcurrentEngine(new TimingEngine(paperQ, Decomposer.decompose(paperQ), StoreMode.MsTree), 2)
+    try {
+      val driver = new ConcurrentWindowDriver(conc, 10)
+      driver.advance(e(vb, vc, 1))                               // ε5 only: its insert is dispatched
+      driver.advance(StreamEdge(2, 900, "Z", 901, "Z", "zzz", 20)) // expires it, matches nothing
+      conc.quiesce()
+      assert(conc.dispatched == 1 && conc.engine.spaceCells == 0)
+    } finally conc.shutdown()
+  }
+
+  // Liveness: a dense run must quiesce within a fixed time. The run goes in
+  // a Future, so a stall fails the test instead of hanging the suite (the
+  // stalled engine is then left unshut, since shutting down waits for it).
+  private lazy val denseStream = GraphStreams.traffic(4000, 8, nPorts = 3, seed = 5)
+  private lazy val denseQ = QueryGenerator.fromStream(denseStream, 4, QueryGenerator.RandomOrder, 11, 40)
+    .getOrElse(fail("gen failed"))
+  private lazy val denseSerial = {
+    val serial = new TimingEngine(denseQ, Decomposer.decompose(denseQ), StoreMode.MsTree)
+    new WindowDriver(serial, 80).run(denseStream)
+    serial
+  }
+
+  for (n <- Seq(2, 4); fine <- Seq(true, false)) {
+    test(s"a dense run quiesces within 60 s (N=$n, ${if (fine) "fine-grained" else "all-locks"})") {
+      val conc = new ConcurrentEngine(new TimingEngine(denseQ, Decomposer.decompose(denseQ), StoreMode.MsTree), n, fine)
+      val run  = Future(new ConcurrentWindowDriver(conc, 80).run(denseStream))(ExecutionContext.global)
+      try Await.result(run, 60.seconds)
+      catch { case _: TimeoutException => fail(s"no quiesce within 60 s (N=$n, fine=$fine)") }
+      conc.shutdown()
+      assert(keys(conc.engine.results) == keys(denseSerial.results))
+      assert(conc.engine.spaceCells == denseSerial.spaceCells && denseSerial.spaceCells > 0)
+    }
   }
 }

@@ -53,6 +53,18 @@ class EnginePlanSpec extends AnyFunSuite {
     }
   }
 
+  test("an edge matching only a non-first position has an empty delete plan") {
+    // ε5 is the second edge of the {ε6ε5ε4} chain: a match holding it has
+    // already left the window with its ε6 edge when the ε5 edge expires.
+    for (mode <- Seq(StoreMode.MsTree, StoreMode.Independent)) {
+      val eng = new TimingEngine(paperQ, Decomposer.decompose(paperQ), mode)
+      val s5  = e(vb, vc, 1)
+      assert(eng.insertPlan(s5).nonEmpty, s"$mode")
+      assert(eng.deletePlan(s5).isEmpty, s"$mode")
+      assert(eng.deletePlan(e(va, vb, 2)).nonEmpty, s"$mode: ε6 heads its chain")
+    }
+  }
+
   test("first-chain-edge insert plans a single X") {
     val eng = engine
     val s6  = e(va, vb, 1) // matches ε6 only: first edge of the {6,5,4} chain

@@ -25,14 +25,18 @@ class TimingEngineSpec extends AnyFunSuite {
     }
 
     test(s"[$tag] expiring any embedding edge kills the match") {
-      paperEmbedding().indices.foreach { drop =>
-        val eng = mkEngine(paperQ, mode)
-        val emb = paperEmbedding()
-        emb.foreach(eng.insert)
-        assert(eng.results.size == 1)
+      // The window expires edges oldest first, so every edge expires after
+      // the older ones: the match dies with its oldest edge, and once every
+      // edge has expired nothing is left stored.
+      val eng = mkEngine(paperQ, mode)
+      val emb = paperEmbedding()
+      emb.foreach(eng.insert)
+      assert(eng.results.size == 1 && eng.spaceCells > 0)
+      emb.indices.foreach { drop =>
         eng.delete(emb(drop))
-        assert(eng.results.isEmpty, s"after deleting edge #$drop")
+        assert(eng.results.isEmpty, s"after expiring edge #$drop")
       }
+      assert(eng.spaceCells == 0)
     }
 
     test(s"[$tag] discardable edge filtered: ε1-match with no prior ε3-match (Lemma 1)") {

@@ -64,30 +64,44 @@ class StoreSpec extends AnyFunSuite {
     }
   }
 
-  test("expiry triggered at a middle level") {
+  /** Expire `edges` in order, as the window does (oldest first); returns
+    * the matches removed per level by each expiry.
+    */
+  private def expireAll(s: MatchStore, edges: StreamEdge*): Seq[Seq[Int]] =
+    edges.map { e =>
+      val ex = s.newExpiry(e, from = 0)
+      (0 until s.numLevels).map(ex.processLevel)
+    }
+
+  test("a deeper edge leaves with its path's oldest edge") {
     mkStores(3).foreach { s =>
       val r1 = s.insertRoot(one(edge(1, 1)))
       val m1 = s.extend(1, r1, one(edge(3, 3)))
       s.extend(2, m1, one(edge(4, 4)))
-      val ex = s.newExpiry(edge(3, 3), from = 0)
-      assert((0 until 3).map(ex.processLevel) == Seq(0, 1, 1))
-      assert(contents(s, 0) == Set(Seq(1L)))
-      assert(contents(s, 1).isEmpty)
+      s.insertRoot(one(edge(2, 2)))
+      val name = s.getClass.getSimpleName
+      assert(expireAll(s, edge(1, 1)) == Seq(Seq(1, 1, 1)), name)
+      assert(contents(s, 0) == Set(Seq(2L)), name)
+      assert(contents(s, 1).isEmpty && contents(s, 2).isEmpty, name)
+      assert(expireAll(s, edge(2, 2), edge(3, 3), edge(4, 4)) == Seq(Seq(1, 0, 0), Seq(0, 0, 0), Seq(0, 0, 0)), name)
+      assert(s.spaceCells == 0, name)
     }
   }
 
-  test("one expiry pass removes an edge found at two levels") {
+  test("an edge stored at two levels expires in window order") {
     mkStores(3).foreach { s =>
-      // edge 5 is the root of one path and the level-2 edge of another
-      val a = s.extend(1, s.insertRoot(one(edge(5, 5))), one(edge(3, 3)))
-      s.extend(2, a, one(edge(4, 4)))
+      // edge 5 is the level-2 edge of path 1-2-5 and the root of path 5-6-7
       val b = s.extend(1, s.insertRoot(one(edge(1, 1))), one(edge(2, 2)))
       s.extend(2, b, one(edge(5, 5)))
-      val ex = s.newExpiry(edge(5, 5), from = 0)
-      assert((0 until 3).map(ex.processLevel) == Seq(1, 1, 2), s.getClass.getSimpleName)
-      assert(contents(s, 0) == Set(Seq(1L)))
-      assert(contents(s, 1) == Set(Seq(1L, 2L)))
-      assert(contents(s, 2).isEmpty)
+      val a = s.extend(1, s.insertRoot(one(edge(5, 5))), one(edge(6, 6)))
+      s.extend(2, a, one(edge(7, 7)))
+      val name = s.getClass.getSimpleName
+      assert(expireAll(s, edge(1, 1)) == Seq(Seq(1, 1, 1)), name)
+      assert(contents(s, 0) == Set(Seq(5L)), name)
+      assert(contents(s, 1) == Set(Seq(5L, 6L)), name)
+      assert(contents(s, 2) == Set(Seq(5L, 6L, 7L)), name)
+      assert(expireAll(s, edge(2, 2), edge(5, 5)) == Seq(Seq(0, 0, 0), Seq(1, 1, 1)), name)
+      assert(s.spaceCells == 0, name)
     }
   }
 
@@ -187,8 +201,8 @@ class StoreSpec extends AnyFunSuite {
       for (id <- 1L to 400L) {
         val e = denseEdge(rnd, id)
         rnd.nextInt(4) match {
-          case 0 if live.nonEmpty => // expire an edge, wherever it sits
-            val gone = live.remove(rnd.nextInt(live.size))
+          case 0 if live.nonEmpty => // expire the oldest live edge, wherever it sits
+            val gone = live.remove(0)
             val ex   = s.newExpiry(gone, from = 0)
             (0 until 3).foreach(ex.processLevel)
           case r =>
@@ -215,8 +229,8 @@ class StoreSpec extends AnyFunSuite {
     for (id <- 1L to 400L) {
       val e = denseEdge(rnd, id)
       rnd.nextInt(4) match {
-        case 0 if live.nonEmpty => // expire a leaf edge of chain i, then L_0 from level i
-          val (gone, i) = live.remove(rnd.nextInt(live.size))
+        case 0 if live.nonEmpty => // expire the oldest root edge (of chain i), then L_0 from level i
+          val (gone, i) = live.remove(0)
           val ex        = chains(i).newExpiry(gone, from = 0)
           (0 until chains(i).numLevels).foreach(ex.processLevel)
           val jex = js.newExpiry(gone, from = i)
