@@ -1,22 +1,37 @@
 package repro.bench
 
+import java.lang.management.ManagementFactory
+import java.lang.ref.Reference
+
 import repro.baselines._
 import repro.core._
 import repro.data.{GraphStreams, QueryGenerator}
 
 /** Shared benchmark plumbing: timed windowed runs with a wall-clock budget
   * (slow baselines report throughput over the prefix they managed), space
-  * sampling, the standard method set, and aligned table printing. Every
-  * bench prints the markdown rows recorded in EXPERIMENTS.md.
+  * sampling in cells and in retained heap bytes, the standard method set,
+  * and aligned table printing. Every bench prints the markdown rows recorded
+  * in EXPERIMENTS.md.
   */
 object BenchHarness {
 
   /** Bytes per storage cell for the KB conversion (DESIGN.md §5). */
   val BytesPerCell = 32.0
 
-  final case class RunResult(edges: Long, seconds: Double, avgCells: Double, matches: Long) {
+  /** `heapBytes`: the engine's retained heap at the end of the run (see
+    * [[benchRunBest]]; 0 when not measured).
+    */
+  final case class RunResult(edges: Long, seconds: Double, avgCells: Double, matches: Long, heapBytes: Double = 0.0) {
     def throughput: Double = if (seconds > 0) edges / seconds else 0.0
     def spaceKb: Double    = avgCells * BytesPerCell / 1024.0
+    def heapKb: Double     = heapBytes / 1024.0
+  }
+
+  /** Heap in use after two full collections, as perfbench's `state_mb` probe reads it. */
+  private def retainedHeap(): Long = {
+    System.gc()
+    System.gc()
+    ManagementFactory.getMemoryMXBean.getHeapMemoryUsage.getUsed
   }
 
   /** Run `engine` over `stream` under `window`, stopping after `maxEdges`
@@ -78,7 +93,12 @@ object BenchHarness {
 
   /** Best-of-`reps` measurement on fresh engines (with a GC between runs):
     * damps JIT/GC noise under the short per-run budget; applied uniformly
-    * to every method, so relative shapes are preserved.
+    * to every method, so relative shapes are preserved. Each run also
+    * measures the engine's retained heap the way perfbench's `state_mb`
+    * does: heap used after the run minus heap used just before the engine
+    * was built, each after two `System.gc()` calls. The stream is built
+    * before, so its edges are not counted, and neither is the window
+    * driver's queue, which is the same for every method.
     */
   def benchRunBest(
       mkEngine: () => EngineApi,
@@ -88,8 +108,12 @@ object BenchHarness {
       reps: Int = 2,
   ): RunResult = {
     val rs = (1 to reps).map { _ =>
-      System.gc()
-      benchRun(mkEngine(), stream, window, maxEdges)
+      val heap0  = retainedHeap()
+      val engine = mkEngine()
+      val r      = benchRun(engine, stream, window, maxEdges)
+      val heap   = retainedHeap() - heap0
+      Reference.reachabilityFence(engine)
+      r.copy(heapBytes = heap.toDouble)
     }
     rs.maxBy(_.throughput)
   }

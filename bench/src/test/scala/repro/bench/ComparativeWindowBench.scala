@@ -2,8 +2,10 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.BenchHarness._
-/** Tables T15 + T17 (paper Figs 15/17): throughput and average space of
-  * the six methods while the window size varies; query size fixed at 8.
+/** Tables T15 + T17 (paper Figs 15/17): throughput and space of the six
+  * methods while the window size varies; query size fixed at 8. Space is
+  * reported twice: the cell model's average (DESIGN.md §5) and the retained
+  * heap measured at the end of each run.
   * Scales are reduced vs the paper (20K-edge streams, windows 500–2500
   * units) — see EXPERIMENTS.md for the paper-vs-measured comparison.
   */
@@ -33,6 +35,7 @@ class ComparativeWindowBench extends AnyFunSuite {
           rs.map(_.seconds).sum,
           mean(rs.map(_.avgCells)),
           rs.map(_.matches).sum,
+          mean(rs.map(_.heapBytes)),
         )
       }).toMap
       printTable(
@@ -44,6 +47,11 @@ class ComparativeWindowBench extends AnyFunSuite {
         s"T17 Space (KB) vs window size — $ds",
         "method" +: windows.map(w => s"|W|=$w"),
         names.map { case (n, _) => n +: windows.map(w => fmt(results((n, w)).spaceKb)) },
+      )
+      printTable(
+        s"T17 Space, measured retained heap (KB) vs window size — $ds",
+        "method" +: windows.map(w => s"|W|=$w"),
+        names.map { case (n, _) => n +: windows.map(w => fmt(results((n, w)).heapKb)) },
       )
       // sanity on the dense (traffic) workload: Timing must beat the
       // recompute baseline; ultra-selective wiki queries are overhead-bound

@@ -19,18 +19,16 @@ final class MsChainStore(keys: Array[VertexKey]) extends MatchStore {
 
   private val tree = new MsTree[StreamEdge](keys)
 
-  private def stored(n: MsNode[StreamEdge]): StoredMatch = StoredMatch(n, n.cachedPath)
-
-  override def read(level: Int): Vector[StoredMatch] = tree.levelNodes(level).map(stored)
+  override def read(level: Int): Vector[StoredMatch] = tree.levelNodes(level).map(tree.stored)
 
   override def probe(level: Int, v: Long): Vector[StoredMatch] = tree.probe(level, v)
 
   override def insertRoot(sub: StoredMatch): StoredMatch =
-    stored(tree.add(null, sub.edges(0), 0, sub.edges))
+    StoredMatch(tree.add(null, sub.edges(0), 0, sub.edges), sub.edges)
 
   override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val sigma = sub.edges(0)
-    stored(tree.add(parent.ref.asInstanceOf[MsNode[StreamEdge]], sigma, level, parent.edges :+ sigma))
+    val path = parent.edges :+ sub.edges(0)
+    StoredMatch(tree.add(parent.ref.asInstanceOf[MsNode[StreamEdge]], path.last, level, path), path)
   }
 
   override def newExpiry(sigma: StreamEdge, from: Int): Expiry =

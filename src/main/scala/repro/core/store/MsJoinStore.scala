@@ -4,7 +4,7 @@ import repro.core.StreamEdge
 
 /** MS-tree-backed `L_0`: node payloads are *references* to the leaf nodes
   * of the subquery MS-trees (§IV-A's space optimisation — a subquery match
-  * is never re-stored). Expired entries are found by scanning level
+  * is never re-stored; a match backtracks through them). Expired entries are found by scanning level
   * `from` for dead leaf references, as Algorithm 2 prescribes: the engine
   * starts a pass at the subquery whose complete matches σ removed.
   * `keys(l)` keys level `l` for [[probe]] (`null` for an unkeyed level).
@@ -17,20 +17,16 @@ final class MsJoinStore(keys: Array[VertexKey]) extends MatchStore {
 
   private def leaf(sub: StoredMatch): MsNode[StreamEdge] = sub.ref.asInstanceOf[MsNode[StreamEdge]]
 
-  override def read(level: Int): Vector[StoredMatch] =
-    tree.levelNodes(level).map(n => StoredMatch(n, n.cachedPath))
+  override def read(level: Int): Vector[StoredMatch] = tree.levelNodes(level).map(tree.stored)
 
   override def probe(level: Int, v: Long): Vector[StoredMatch] = tree.probe(level, v)
 
-  override def insertRoot(sub: StoredMatch): StoredMatch = {
-    val n = tree.add(null, leaf(sub), 0, sub.edges)
-    StoredMatch(n, n.cachedPath)
-  }
+  override def insertRoot(sub: StoredMatch): StoredMatch =
+    StoredMatch(tree.add(null, leaf(sub), 0, sub.edges), sub.edges)
 
   override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch = {
-    val p = parent.ref.asInstanceOf[MsNode[MsNode[StreamEdge]]]
-    val n = tree.add(p, leaf(sub), level, parent.edges ++ sub.edges)
-    StoredMatch(n, n.cachedPath)
+    val path = parent.edges ++ sub.edges
+    StoredMatch(tree.add(parent.ref.asInstanceOf[MsNode[MsNode[StreamEdge]]], leaf(sub), level, path), path)
   }
 
   override def newExpiry(sigma: StreamEdge, from: Int): Expiry =

@@ -1,5 +1,6 @@
 package repro.core.store
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.core.StreamEdge
 
@@ -8,15 +9,12 @@ import repro.core.StreamEdge
   * Besides child links, a node keeps a link to its parent and sits in a
   * per-level doubly linked list — the extra links the paper adds over a
   * plain trie (§IV-C). On a keyed level it also sits in the bucket of its
-  * key vertex. `alive` is volatile because the L0 tree reads leaf liveness
-  * across lock domains (§V-C).
-  *
-  * `cachedPath` holds the edges of the root→this path, set at insertion (an
-  * immutable `Vector` that extends the parent's, so prefixes share structure
-  * — the persistent-collection analogue of the trie's prefix sharing).
+  * `key` vertex. It stores no path: [[path]] backtracks its match. `alive`
+  * is volatile because the L0 tree reads leaf liveness across lock domains
+  * (§V-C); `payload`, `level`, `parent` and `key` are immutable (see the
+  * [[MsTree]] thread-safety contract).
   */
-final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P],
-                      val cachedPath: IndexedSeq[StreamEdge]) {
+final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P], val key: Long) {
   @volatile var alive: Boolean = true
   var prev: MsNode[P]          = _
   var next: MsNode[P]          = _
@@ -29,6 +27,21 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P],
 
   /** The node's children; empty for a leaf. */
   def children: collection.Set[MsNode[P]] = if (kids == null) Set.empty else kids
+
+  /** This node's match, read by backtracking (§IV-A): the payloads along
+    * root→this, where a payload that is itself a node — an `L_0` reference
+    * to a subquery leaf — stands for that node's match.
+    */
+  def path: Vector[Any] = { val a = new Array[AnyRef](width); fill(a, 0); Vector.from(ArraySeq.unsafeWrapArray(a)) }
+
+  private def width: Int =
+    (payload match { case leaf: MsNode[_] => leaf.width; case _ => 1 }) + (if (parent == null) 0 else parent.width)
+
+  /** Writes [[path]] into `a` from `from`; returns the index after it. */
+  private def fill(a: Array[AnyRef], from: Int): Int = {
+    val i = if (parent == null) from else parent.fill(a, from)
+    payload match { case leaf: MsNode[_] => leaf.fill(a, i); case p => a(i) = p.asInstanceOf[AnyRef]; i + 1 }
+  }
 }
 
 /** Match-store tree (§IV): a trie variant whose level-`i` nodes are the
@@ -42,7 +55,7 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P],
   *     level-`l-1` nodes, and the `alive` flags of level-`l` nodes are only
   *     mutated while the caller holds the X lock of expansion-list item
   *     `l+1`; [[probe]] only reads them;
-  *   - `payload`, `level`, `parent` and `cachedPath` are immutable, so
+  *   - `payload`, `level`, `parent` and `key` are immutable, so
   *     backtracking a path upward is always safe, even through partially
   *     removed nodes — exactly the property Theorem 6 relies on.
   */
@@ -58,8 +71,8 @@ final class MsTree[P](keys: Array[VertexKey]) {
   locally {
     var l = 0
     while (l < numLevels) {
-      heads(l) = new MsNode[P](null.asInstanceOf[P], -1, null, null)
-      tails(l) = new MsNode[P](null.asInstanceOf[P], -1, null, null)
+      heads(l) = new MsNode[P](null.asInstanceOf[P], -1, null, 0L)
+      tails(l) = new MsNode[P](null.asInstanceOf[P], -1, null, 0L)
       heads(l).next = tails(l); tails(l).prev = heads(l)
       if (keys(l) != null) buckets(l) = new mutable.LongMap
       l += 1
@@ -73,7 +86,8 @@ final class MsTree[P](keys: Array[VertexKey]) {
     */
   def add(parent: MsNode[P], payload: P, level: Int, path: IndexedSeq[StreamEdge]): MsNode[P] = {
     require(level == (if (parent == null) 0 else parent.level + 1), "level/parent mismatch")
-    val n = new MsNode[P](payload, level, parent, path)
+    val b = buckets(level)
+    val n = new MsNode[P](payload, level, parent, if (b == null) 0L else keys(level).of(path))
     if (parent != null) {
       if (parent.kids == null) parent.kids = mutable.LinkedHashSet()
       parent.kids += n
@@ -81,11 +95,9 @@ final class MsTree[P](keys: Array[VertexKey]) {
     val t = tails(level)
     n.prev = t.prev; n.next = t
     t.prev.next = n; t.prev = n
-    val b = buckets(level)
     if (b != null) {
-      val v = keys(level).of(path)
-      val h = b.getOrNull(v)
-      if (h == null) { n.keyPrev = n; b.update(v, n) }
+      val h = b.getOrNull(n.key)
+      if (h == null) { n.keyPrev = n; b.update(n.key, n) }
       else { h.keyPrev.keyNext = n; n.keyPrev = h.keyPrev; h.keyPrev = n }
     }
     counts.incrementAndGet(level)
@@ -103,6 +115,9 @@ final class MsTree[P](keys: Array[VertexKey]) {
   /** The oldest live node of `level`: its list is in insertion order. */
   def oldest(level: Int): Option[MsNode[P]] = Option(heads(level).next).filter(_ ne tails(level))
 
+  /** A node's match as a stored match of this tree's store. */
+  def stored(n: MsNode[P]): StoredMatch = StoredMatch(n, n.path.asInstanceOf[Vector[StreamEdge]])
+
   /** The live nodes of keyed `level` whose key vertex is `v`, in insertion
     * order, as stored matches.
     */
@@ -111,17 +126,9 @@ final class MsTree[P](keys: Array[VertexKey]) {
     if (n == null) Vector.empty
     else {
       val b = Vector.newBuilder[StoredMatch]
-      while (n != null) { b += StoredMatch(n, n.cachedPath); n = n.keyNext }
+      while (n != null) { b += stored(n); n = n.keyNext }
       b.result()
     }
-  }
-
-  /** Payloads along the path root→n (the match in sequential form). */
-  def pathPayloads(n: MsNode[P]): IndexedSeq[P] = {
-    val buf = new Array[Any](n.level + 1)
-    var cur = n
-    while (cur != null) { buf(cur.level) = cur.payload; cur = cur.parent }
-    buf.toIndexedSeq.asInstanceOf[IndexedSeq[P]]
   }
 
   /** Partial removal (§V-C, Fig 14): unlink from the level list, the key
@@ -138,13 +145,12 @@ final class MsTree[P](keys: Array[VertexKey]) {
     if (b != null) {
       val next = n.keyNext
       if (n.keyPrev.keyNext ne n) { // n heads its bucket
-        val v = keys(n.level).of(n.cachedPath)
-        if (next == null) b -= v
-        else { next.keyPrev = n.keyPrev; b.update(v, next) }
+        if (next == null) b -= n.key
+        else { next.keyPrev = n.keyPrev; b.update(n.key, next) }
       } else {
         n.keyPrev.keyNext = next
         if (next != null) next.keyPrev = n.keyPrev
-        else b(keys(n.level).of(n.cachedPath)).keyPrev = n.keyPrev // n was the tail
+        else b(n.key).keyPrev = n.keyPrev // n was the tail
       }
       n.keyPrev = null; n.keyNext = null
     }

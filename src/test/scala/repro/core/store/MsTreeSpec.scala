@@ -16,8 +16,8 @@ class MsTreeSpec extends AnyFunSuite {
     val s9 = t.add(s3, "σ9", 2, NoPath)
     // Fig 10: matches {σ1}, {σ1σ3}, {σ1σ3σ4}, {σ1σ3σ9} in 4 nodes
     assert(t.liveCount == 4)
-    assert(t.pathPayloads(s4) == IndexedSeq("σ1", "σ3", "σ4"))
-    assert(t.pathPayloads(s9) == IndexedSeq("σ1", "σ3", "σ9"))
+    assert(s4.path == IndexedSeq("σ1", "σ3", "σ4"))
+    assert(s9.path == IndexedSeq("σ1", "σ3", "σ9"))
     assert(t.levelNodes(2).map(_.payload) == Vector("σ4", "σ9"))
   }
 
@@ -41,7 +41,7 @@ class MsTreeSpec extends AnyFunSuite {
     assert(p.children.toSet == Set(c2))
     // upward pointer survives (Theorem 6's requirement)
     assert(c1.parent eq p)
-    assert(t.pathPayloads(c1) == IndexedSeq("p", "c1"))
+    assert(c1.path == IndexedSeq("p", "c1"))
     assert(t.liveCount == 2)
   }
 
@@ -87,17 +87,18 @@ class MsTreeSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](t.add(null, "b", 1, NoPath))
   }
 
-  // Keyed trees: level `l` is keyed by the source of the path's edge `l`.
+  // Keyed trees of edges: level `l` is keyed by the source of the path's edge `l`.
   private def edge(id: Long, src: Long): StreamEdge = StreamEdge(id, src, "A", id + 100, "B", "-", id)
-  private def keyed[P](numLevels: Int): MsTree[P] =
-    new MsTree[P](Array.tabulate(numLevels)(l => VertexKey(l, src = true)))
-  private def bucket[P](t: MsTree[P], level: Int, v: Long): Seq[Long] =
+  private def keyed(numLevels: Int): MsTree[StreamEdge] =
+    new MsTree[StreamEdge](Array.tabulate(numLevels)(l => VertexKey(l, src = true)))
+  private def bucket(t: MsTree[StreamEdge], level: Int, v: Long): Seq[Long] =
     t.probe(level, v).map(_.edges.last.id)
 
   test("a bucket unlinks its head, middle and tail") {
-    val t     = keyed[String](1)
-    val nodes = (1L to 5L).map(i => t.add(null, s"n$i", 0, Vector(edge(i, 7))))
-    val other = t.add(null, "o", 0, Vector(edge(6, 8)))
+    val t     = keyed(1)
+    def root(id: Long, v: Long) = t.add(null, edge(id, v), 0, Vector(edge(id, v)))
+    val nodes = (1L to 5L).map(root(_, 7))
+    val other = root(6, 8)
     assert(bucket(t, 0, 7) == Seq(1L, 2L, 3L, 4L, 5L))
     t.partialRemove(nodes(0)) // head
     assert(bucket(t, 0, 7) == Seq(2L, 3L, 4L, 5L))
@@ -105,30 +106,32 @@ class MsTreeSpec extends AnyFunSuite {
     assert(bucket(t, 0, 7) == Seq(2L, 3L, 4L))
     t.partialRemove(nodes(2)) // middle
     assert(bucket(t, 0, 7) == Seq(2L, 4L))
-    val n7 = t.add(null, "n7", 0, Vector(edge(7, 7))) // appends after the new tail
+    val n7 = root(7, 7) // appends after the new tail
     assert(bucket(t, 0, 7) == Seq(2L, 4L, 7L))
     Seq(nodes(1), nodes(3), n7).foreach(t.partialRemove)
     assert(bucket(t, 0, 7).isEmpty)
     assert(bucket(t, 0, 8) == Seq(6L) && other.alive)
-    val again = t.add(null, "n8", 0, Vector(edge(8, 7))) // an emptied bucket starts afresh
+    val again = root(8, 7) // an emptied bucket starts afresh
     assert(bucket(t, 0, 7) == Seq(8L) && again.alive)
   }
 
   test("a partially removed node leaves its bucket but keeps its path and children (Fig 14)") {
-    val t  = keyed[String](2)
+    val t  = keyed(2)
     val pa = Vector(edge(1, 7))
-    val p  = t.add(null, "p", 0, pa)
-    val q  = t.add(null, "q", 0, Vector(edge(2, 7)))
-    val c  = t.add(p, "c", 1, pa :+ edge(3, 9))
+    val ca = pa :+ edge(3, 9)
+    val p  = t.add(null, pa(0), 0, pa)
+    val q  = t.add(null, edge(2, 7), 0, Vector(edge(2, 7)))
+    val c  = t.add(p, ca(1), 1, ca)
     t.partialRemove(p)
     assert(bucket(t, 0, 7) == Seq(2L) && q.alive)
     assert(p.children.toSet == Set(c))
-    assert(t.pathPayloads(c) == IndexedSeq("p", "c") && (c.parent eq p))
-    assert(p.cachedPath == pa)
+    assert(c.path == ca && (c.parent eq p))
+    // Theorem 6: a reader that probed c before p's removal still backtracks both whole paths
+    assert(p.path == pa)
     // the child is still live, in its own bucket, until the sweep reaches it
     assert(bucket(t, 1, 9) == Seq(3L))
     t.partialRemove(c)
-    assert(bucket(t, 1, 9).isEmpty)
+    assert(bucket(t, 1, 9).isEmpty && c.path == ca)
   }
 
   test("a leaf has an empty child set; the first child creates one") {

@@ -134,6 +134,26 @@ class StoreSpec extends AnyFunSuite {
     assert(ind.spaceCells == 5) // 2 + 3 materialized cells
   }
 
+  test("MS stores return the path they do not store, and backtrack it through removed nodes") {
+    val chains = IndexedSeq(new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(3)))
+    val js     = new MsJoinStore(unkeyed(3)) // an L_0 with k = 3
+    val c0     = chains(0).extend(1, chains(0).insertRoot(one(edge(1, 1))), one(edge(2, 2)))
+    val c1     = chains(1).insertRoot(one(edge(3, 3)))
+    val c2     = chains(2).extend(2, chains(2).extend(1, chains(2).insertRoot(one(edge(4, 4))), one(edge(5, 5))), one(edge(6, 6)))
+    val full   = js.extend(2, js.extend(1, js.insertRoot(c0), c1), c2)
+    assert(c2.edges.map(_.id) == Seq(4L, 5L, 6L))
+    assert(full.edges.map(_.id) == Seq(1L, 2L, 3L, 4L, 5L, 6L)) // prefixEdges order
+    assert(chains(2).read(2).map(_.edges) == Vector(c2.edges))
+    // expire edge 1 from chain 0 only: until L_0's own sweep, a reader of L_0
+    // backtracks through the partially removed chain nodes (Theorem 6)
+    val ex = chains(0).newExpiry(edge(1, 1), from = 0)
+    assert((0 until 2).map(ex.processLevel) == Seq(1, 1) && chains(0).spaceCells == 0)
+    val read = js.read(2)
+    assert(read.map(_.edges) == Vector(full.edges) && (read.head.ref eq full.ref))
+    val jex = js.newExpiry(edge(1, 1), from = 0)
+    assert((0 until 3).map(jex.processLevel) == Seq(1, 1, 1) && js.spaceCells == 0)
+  }
+
   test("MsJoinStore expiry follows dead chain leaves") {
     val chains = IndexedSeq[MatchStore](new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(1)))
     val js     = new MsJoinStore(unkeyed(2))
@@ -178,51 +198,67 @@ class StoreSpec extends AnyFunSuite {
     assert(ind.spaceCells == 9)
   }
 
+  private def ids(ms: Vector[StoredMatch]): Vector[Seq[Long]] = ms.map(_.edges.map(_.id))
+
   /** Every keyed level: `probe(level, v)` is `read(level)` filtered by the
     * level's key, in the same order, for every vertex of the stream.
     */
   private def probesAgree(s: MatchStore, keys: Array[VertexKey], vertices: Range): Unit =
-    for (l <- keys.indices if keys(l) != null; v <- vertices) {
-      val ids = (ms: Vector[StoredMatch]) => ms.map(_.edges.map(_.id))
+    for (l <- keys.indices if keys(l) != null; v <- vertices)
       assert(ids(s.probe(l, v)) == ids(s.read(l).filter(m => keys(l).of(m.edges) == v)),
         s"${s.getClass.getSimpleName} level $l vertex $v")
+
+  /** The MS-tree store `ms` and the independent store `ind` hand out the
+    * same edge sequences, in the same order, from every `read` and `probe`.
+    */
+  private def backendsAgree(ms: MatchStore, ind: MatchStore, keys: Array[VertexKey], vertices: Range): Unit = {
+    probesAgree(ms, keys, vertices)
+    probesAgree(ind, keys, vertices)
+    for (l <- keys.indices) {
+      assert(ids(ms.read(l)) == ids(ind.read(l)), s"read of level $l")
+      if (keys(l) != null) vertices.foreach(v => assert(ids(ms.probe(l, v)) == ids(ind.probe(l, v)), s"probe of level $l vertex $v"))
     }
+  }
 
   /** Edges over 4 vertices, so buckets collide. */
   private def denseEdge(rnd: scala.util.Random, id: Long): StreamEdge =
     StreamEdge(id, rnd.nextInt(4).toLong, "A", rnd.nextInt(4).toLong, "A", "-", id)
 
   test("chain stores: probe equals the keyed filter of read after interleaved inserts and expiries") {
-    val keys = Array(VertexKey(0, src = false), VertexKey(1, src = true), null)
-    for (s <- Seq(new MsChainStore(keys), new IndStore(keys))) {
-      val rnd  = new scala.util.Random(17)
-      val live = scala.collection.mutable.ArrayBuffer[StreamEdge]()
-      val peak = new Array[Int](3)
-      for (id <- 1L to 400L) {
-        val e = denseEdge(rnd, id)
-        rnd.nextInt(4) match {
-          case 0 if live.nonEmpty => // expire the oldest live edge, wherever it sits
-            val gone = live.remove(0)
-            val ex   = s.newExpiry(gone, from = 0)
+    val keys   = Array(VertexKey(0, src = false), VertexKey(1, src = true), null)
+    val stores = Seq(new MsChainStore(keys), new IndStore(keys))
+    val rnd    = new scala.util.Random(17)
+    val live   = scala.collection.mutable.ArrayBuffer[StreamEdge]()
+    val peak   = new Array[Int](3)
+    for (id <- 1L to 400L) {
+      val e = denseEdge(rnd, id)
+      rnd.nextInt(4) match {
+        case 0 if live.nonEmpty => // expire the oldest live edge, wherever it sits
+          val gone = live.remove(0)
+          stores.foreach { s =>
+            val ex = s.newExpiry(gone, from = 0)
             (0 until 3).foreach(ex.processLevel)
-          case r =>
-            val level = math.max(r - 1, 0)
-            val parents = if (level == 0) Vector.empty else s.read(level - 1)
-            if (level == 0) s.insertRoot(one(e))
-            else if (parents.nonEmpty) s.extend(level, parents(rnd.nextInt(parents.size)), one(e))
-            live += e
-        }
-        probesAgree(s, keys, 0 until 4)
-        (0 until 3).foreach(l => peak(l) = math.max(peak(l), s.size(l)))
+          }
+        case r =>
+          val level = math.max(r - 1, 0)
+          val n     = if (level == 0) 0 else stores.head.size(level - 1)
+          if (level == 0) stores.foreach(_.insertRoot(one(e)))
+          else if (n > 0) {
+            val p = rnd.nextInt(n) // the same parent on both: their reads agree
+            stores.foreach(s => s.extend(level, s.read(level - 1)(p), one(e)))
+          }
+          live += e
       }
-      assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
+      backendsAgree(stores(0), stores(1), keys, 0 until 4)
+      (0 until 3).foreach(l => peak(l) = math.max(peak(l), stores.head.size(l)))
     }
+    assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
   }
 
   test("MsJoinStore: probe equals the keyed filter of read after interleaved inserts and expiries") {
     val keys   = Array(VertexKey(0, src = true), VertexKey(2, src = false), null)
     val chains = IndexedSeq(new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)))
-    val js     = new MsJoinStore(keys)
+    val stores = Seq(new MsJoinStore(keys), new IndStore(keys)) // an L_0 with k = 3
     val rnd    = new scala.util.Random(23)
     val live   = scala.collection.mutable.ArrayBuffer[(StreamEdge, Int)]()
     val peak   = new Array[Int](3)
@@ -233,23 +269,28 @@ class StoreSpec extends AnyFunSuite {
           val (gone, i) = live.remove(0)
           val ex        = chains(i).newExpiry(gone, from = 0)
           (0 until chains(i).numLevels).foreach(ex.processLevel)
-          val jex = js.newExpiry(gone, from = i)
-          (i until 3).foreach(jex.processLevel)
+          stores.foreach { s =>
+            val jex = s.newExpiry(gone, from = i)
+            (i until 3).foreach(jex.processLevel)
+          }
         case r =>
           val i = math.max(r - 1, 0)
           val c = chains(i)
           val leaf =
             if (c.numLevels == 1) c.insertRoot(one(e))
             else c.extend(1, c.insertRoot(one(e)), one(denseEdge(rnd, id + 1000)))
-          if (i == 0) js.insertRoot(leaf)
+          if (i == 0) stores.foreach(_.insertRoot(leaf))
           else {
-            val parents = js.read(i - 1)
-            if (parents.nonEmpty) js.extend(i, parents(rnd.nextInt(parents.size)), leaf)
+            val n = stores.head.size(i - 1)
+            if (n > 0) {
+              val p = rnd.nextInt(n) // the same parent on both: their reads agree
+              stores.foreach(s => s.extend(i, s.read(i - 1)(p), leaf))
+            }
           }
           live += ((e, i))
       }
-      probesAgree(js, keys, 0 until 4)
-      (0 until 3).foreach(l => peak(l) = math.max(peak(l), js.size(l)))
+      backendsAgree(stores(0), stores(1), keys, 0 until 4)
+      (0 until 3).foreach(l => peak(l) = math.max(peak(l), stores.head.size(l)))
     }
     assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
   }
