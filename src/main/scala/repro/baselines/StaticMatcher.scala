@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{Matching, QueryGraph, StreamEdge}
+import repro.core.{Matching, QueryGraph, StreamEdge, TimingSequence}
 
 /** A static (snapshot) subgraph-isomorphism matcher. Structure-only: the
   * caller applies timing-order filtering posteriorly, as the paper does for
@@ -38,9 +38,11 @@ abstract class BacktrackingMatcher extends StaticMatcher {
 
   /** A prefix-connected search order over query-edge ids, possibly seeded
     * with a first edge (the anchored one). `freq` gives each query edge's
-    * candidate count in the current snapshot.
+    * candidate count in the current snapshot. By default the infrequent
+    * query edges come first (QuickSI's QI-sequence flavour).
     */
-  protected def searchOrder(q: QueryGraph, first: Option[Int], freq: Map[Int, Int]): IndexedSeq[Int]
+  protected def searchOrder(q: QueryGraph, first: Option[Int], freq: Map[Int, Int]): IndexedSeq[Int] =
+    TimingSequence.connectivityOrder(q, first, freq)
 
   /** Extra pruning on a candidate data edge for a query edge (beyond label
     * and consistency checks). `ctx` is the per-call snapshot context.
@@ -130,28 +132,6 @@ abstract class BacktrackingMatcher extends StaticMatcher {
     if (capped) cappedSearches += 1
     out.values.toVector
   }
-
-  /** Greedy prefix-connected order minimising a per-edge key. */
-  protected def connectedOrderBy(
-      q: QueryGraph, first: Option[Int], key: Int => (Int, Int),
-  ): IndexedSeq[Int] = {
-    val remaining = mutable.Set[Int](q.edges.map(_.id): _*)
-    val out       = mutable.ArrayBuffer[Int]()
-    val bound     = mutable.Set[Int]()
-    def push(eid: Int): Unit = {
-      remaining -= eid; out += eid
-      val e = q.edgeById(eid); bound += e.src; bound += e.dst
-    }
-    push(first.getOrElse(q.edges.map(_.id).minBy(key)))
-    while (remaining.nonEmpty) {
-      val connected = remaining.filter { eid =>
-        val e = q.edgeById(eid); bound(e.src) || bound(e.dst)
-      }
-      val pool = if (connected.nonEmpty) connected else remaining
-      push(pool.minBy(key))
-    }
-    out.toIndexedSeq
-  }
 }
 
 /** QuickSI-style matcher [Shang et al. 2008]: search order chooses the
@@ -159,8 +139,6 @@ abstract class BacktrackingMatcher extends StaticMatcher {
   */
 final class QuickSI extends BacktrackingMatcher {
   override def name = "QuickSI"
-  override protected def searchOrder(q: QueryGraph, first: Option[Int], freq: Map[Int, Int]) =
-    connectedOrderBy(q, first, eid => (freq(eid), eid))
 }
 
 /** TurboISO-style matcher [Han et al. 2013]: starts from the edge with the
@@ -200,9 +178,6 @@ final class TurboIso extends BacktrackingMatcher {
   */
 final class BoostIso extends BacktrackingMatcher {
   override def name = "BoostISO"
-
-  override protected def searchOrder(q: QueryGraph, first: Option[Int], freq: Map[Int, Int]) =
-    connectedOrderBy(q, first, eid => (freq(eid), eid))
 
   override protected def prune(ctx: SnapshotCtx, qeid: Int, e: StreamEdge): Boolean = {
     val qe = ctx.q.edgeById(qeid)

@@ -21,7 +21,8 @@ final class ConcurrentEngine(
     val fineGrained: Boolean = true,
 ) {
 
-  private val table   = new LockTable
+  // One lock per item, fixed with the engine's items; read by the dispatcher only.
+  private val locks   = engine.itemSizes.map { case (key, _) => key -> new ItemLock }
   private val pool    = Executors.newFixedThreadPool(nThreads)
   private val pending = new AtomicLong(0)
   private val txnSeq  = new AtomicLong(0)
@@ -35,8 +36,12 @@ final class ConcurrentEngine(
   private def launch(plan: Vector[(ItemKey, LockMode)])(body: Guard => Unit): Unit = {
     if (plan.isEmpty) return // σ matches no query edge: CONTINUE (Alg 3)
     val txn  = txnSeq.incrementAndGet()
-    val reqs = // dispatch before launch
-      (if (fineGrained) plan else AllLocksGuard.dedup(plan)).map { case (k, m) => table.enqueue(txn, k, m) }
+    val reqs = // dispatch before launch: bind each request to its item's lock and append it
+      (if (fineGrained) plan else AllLocksGuard.dedup(plan)).map { case (key, m) =>
+        val r = new LockRequest(txn, m, key, locks(key))
+        r.lock.enqueue(r)
+        r
+      }
     pending.incrementAndGet()
     pool.execute { () =>
       try {

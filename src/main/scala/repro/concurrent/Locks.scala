@@ -59,22 +59,6 @@ final class ItemLock {
   }
 }
 
-/** Lazily materialized item-lock table, used only by the single
-  * dispatcher thread; workers reach a lock through its request.
-  */
-final class LockTable {
-  private val locks = mutable.HashMap[ItemKey, ItemLock]()
-
-  /** Create the request, bind it to the item's lock and append it to that
-    * lock's wait-list.
-    */
-  def enqueue(txnId: Long, key: ItemKey, mode: LockMode): LockRequest = {
-    val r = new LockRequest(txnId, mode, key, locks.getOrElseUpdate(key, new ItemLock))
-    r.lock.enqueue(r)
-    r
-  }
-}
-
 /** Fine-grained guard (the paper's scheme): claims each pre-enqueued
   * request exactly when the engine reaches that plan step; at most one
   * item lock is held at a time, so deadlock is impossible (§V-B).

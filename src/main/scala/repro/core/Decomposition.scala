@@ -70,17 +70,22 @@ object Decomposer {
   /** Greedy minimum-cardinality cover (Algorithm 6): repeatedly take the
     * largest remaining TC-subquery edge-disjoint from those chosen.
     */
-  def greedyCover(q: QueryGraph, candidates: Vector[TcSubquery]): Vector[TcSubquery] = {
+  def greedyCover(q: QueryGraph, candidates: Vector[TcSubquery]): Vector[TcSubquery] =
+    cover(q, candidates.sortBy(s => (-s.size, s.seq.mkString(","))))
+
+  /** Take each candidate, in priority order, that is edge-disjoint from
+    * those taken before it, until Q is covered.
+    */
+  private def cover(q: QueryGraph, byPriority: Seq[TcSubquery]): Vector[TcSubquery] = {
     val all     = q.edges.map(_.id).toSet
-    val sorted  = candidates.sortBy(s => (-s.size, s.seq.mkString(",")))
     val chosen  = mutable.ArrayBuffer[TcSubquery]()
     val covered = mutable.Set[Int]()
-    val it      = sorted.iterator
+    val it      = byPriority.iterator
     while (covered.size < all.size && it.hasNext) {
       val c = it.next()
       if ((c.edgeSet & covered).isEmpty) { chosen += c; covered ++= c.edgeSet }
     }
-    require(covered.size == all.size, "greedy cover failed (singles are always candidates)")
+    require(covered.size == all.size, "cover failed (singles are always candidates)")
     chosen.toVector
   }
 
@@ -90,17 +95,9 @@ object Decomposer {
   def decompose(q: QueryGraph): Decomposition =
     Decomposition(JoinOrder.order(q, greedyCover(q, tcSub(q))))
 
-  /** Timing-RD: a random valid cover from TCsub(Q), paper join order. */
-  def randomDecompose(q: QueryGraph, seed: Long): Decomposition = {
-    val rnd     = new Random(seed)
-    val shuffled = rnd.shuffle(tcSub(q))
-    val chosen  = mutable.ArrayBuffer[TcSubquery]()
-    val covered = mutable.Set[Int]()
-    val all     = q.edges.map(_.id).toSet
-    for (c <- shuffled if covered.size < all.size)
-      if ((c.edgeSet & covered).isEmpty) { chosen += c; covered ++= c.edgeSet }
-    Decomposition(JoinOrder.order(q, chosen.toVector))
-  }
+  /** Timing-RD: the cover of a random candidate order, paper join order. */
+  def randomDecompose(q: QueryGraph, seed: Long): Decomposition =
+    Decomposition(JoinOrder.order(q, cover(q, new Random(seed).shuffle(tcSub(q)))))
 
   /** Timing-RJ: paper cover, random prefix-connected join order. */
   def randomJoinOrder(q: QueryGraph, seed: Long): Decomposition =

@@ -131,6 +131,9 @@ final class QueryGraph private (
 
 object QueryGraph {
 
+  /** Most query edge ids, from the smallest to the largest, a query may span. */
+  private val MaxIdSpan: Long = 1L << 16
+
   /** Build and validate a query graph; `orderPairs` need not be closed. */
   def apply(
       vertices: Seq[QueryVertex],
@@ -153,6 +156,11 @@ object QueryGraph {
       edges.map(e => (e.src, e.dst, e.label)).distinct.size == edges.size,
       "duplicate query edges (same endpoints and label)",
     )
+    // `edgeById` and `precedes` keep one slot per id in the span of edge ids.
+    if (eIds.nonEmpty) {
+      val span = eIds.max.toLong - eIds.min + 1
+      require(span <= MaxIdSpan, s"query edge ids span $span ids, more than $MaxIdSpan")
+    }
     val eSet = eIds.toSet
     orderPairs.foreach { case (a, b) =>
       require(eSet(a) && eSet(b), s"order pair ($a,$b) references unknown edge")

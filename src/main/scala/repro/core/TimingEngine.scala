@@ -166,8 +166,9 @@ final class TimingEngine(
       if q.matchesEdge(q.edgeById(decomposition.subqueries(i).seq(j)), sigma)
     } yield (i, j)
 
-  /** Lock-plan steps for handling σ matching position (i, j) — worst case:
-    * every join is assumed non-empty (§V-A's analysis style).
+  /** Lock-plan steps for handling σ matching position (i, j), which `insert`
+    * walks — worst case: every join is assumed non-empty (§V-A's analysis
+    * style).
     */
   private def groupSteps(i: Int, j: Int): Vector[(ItemKey, LockMode)] = {
     val b = Vector.newBuilder[(ItemKey, LockMode)]
@@ -208,107 +209,101 @@ final class TimingEngine(
   override def insert(sigma: StreamEdge): Vector[Matching.Match] =
     insert(sigma, Guard.NoOp)
 
-  /** Algorithm 1. Every item update is the time-constrained join ⋈ᵀ
-    * (Theorem 2): a chain item is `L^{j-1} ⋈ᵀ {σ}`, an `L_0` item is the
-    * joined prefix ⋈ᵀ the new subquery matches. Each step probes the item it
-    * reads by the vertex the new side binds to the item's key, never the
-    * whole item.
+  /** Algorithm 1, walking each matched position's lock plan. Every item
+    * update is the time-constrained join ⋈ᵀ (Theorem 2): a chain item is
+    * `L^{j-1} ⋈ᵀ {σ}`, an `L_0` item is the joined prefix ⋈ᵀ the new subquery
+    * matches. Each step probes the item it reads by the vertex the new side
+    * binds to the item's key, never the whole item.
     */
   def insert(sigma: StreamEdge, guard: Guard): Vector[Matching.Match] = {
     val out    = Vector.newBuilder[Matching.Match]
     var work   = 0L
     var capped = false
-    for ((i, j) <- positionsMatching(sigma)) {
-      val steps    = groupSteps(i, j)
-      var consumed = 0
-      def run[A](f: => A): A = {
-        val (key, m) = steps(consumed)
-        consumed += 1
-        guard.exec(key, m)(f)
-      }
 
-      /** `small ⋈ᵀ` level `bigLevel` of list `bigList`: under the group's next
-        * (S) step, probe that level once per match of `small`; test every
-        * candidate against the match it was probed for, then extend `list`
-        * at `level` by each compatible pair under the next (X) step. The
-        * parent of a new match is the probed one when `bigList == list` and
-        * the `small` one otherwise. No pair (or the work cap) makes σ
-        * discardable for the rest of the group (Lemma 1).
-        */
-      def joinStep(small: Vector[StoredMatch], smallIds: IndexedSeq[Int],
-                   bigList: Int, bigLevel: Int, list: Int, level: Int): Vector[StoredMatch] = {
-        val big  = lists(bigList)
-        val key  = probeKeys(bigList)(bigLevel)
-        val ends = if (small.length == 1) null else new Array[Int](small.length) // candidate ranges
-        val cands = run {
-          if (ends == null) big.probe(bigLevel, key.of(small(0).edges))
-          else {
-            val b = Vector.newBuilder[StoredMatch]
-            var a = 0
-            var n = 0
-            while (a < small.length) {
-              val found = big.probe(bigLevel, key.of(small(a).edges))
-              b ++= found
-              n += found.length
-              ends(a) = n
-              a += 1
-            }
-            b.result()
-          }
-        }
-        joinOps.increment()
-        work += cands.length
-        val hits = mutable.ArrayBuffer[StoredMatch]() // compatible pairs as (parent, sub), flattened
-        if (workCap > 0 && work > workCap) {
-          if (!capped) { capped = true; cappedInserts.increment() }
-        } else {
-          pairTests.add(cands.length)
-          val bigIds = ids(bigList)(bigLevel)
-          var a      = 0
-          var c      = 0
-          while (a < small.length) {
-            val s   = small(a)
-            val end = if (ends == null) cands.length else ends(a)
-            while (c < end) {
-              val m = cands(c)
-              if (Matching.crossCompatible(q, smallIds, s.edges, bigIds, m.edges)) {
-                if (bigList == list) { hits += m; hits += s } else { hits += s; hits += m }
-              }
-              c += 1
-            }
+    /** `cur ⋈ᵀ` item `read`: under `read`'s S lock, probe it once per match
+      * of `cur`; test every candidate against the match it was probed for,
+      * then extend item `write` by each compatible pair under its X lock. The
+      * parent of a new match is the probed one when both items are in one
+      * list and the `cur` one otherwise. No pair (or the work cap) makes σ
+      * discardable for the rest of the group (Lemma 1): its remaining
+      * `skip` steps are cancelled.
+      */
+    def joinStep(cur: Vector[StoredMatch], curIds: IndexedSeq[Int],
+                 read: ItemKey, write: ItemKey, skip: Int): Vector[StoredMatch] = {
+      val big  = lists(read.list)
+      val key  = probeKeys(read.list)(read.level)
+      val ends = if (cur.length == 1) null else new Array[Int](cur.length) // candidate ranges
+      val cands = guard.exec(read, LockMode.S) {
+        if (ends == null) big.probe(read.level, key.of(cur(0).edges))
+        else {
+          val b = Vector.newBuilder[StoredMatch]
+          var a = 0
+          var n = 0
+          while (a < cur.length) {
+            val found = big.probe(read.level, key.of(cur(a).edges))
+            b ++= found
+            n += found.length
+            ends(a) = n
             a += 1
           }
-        }
-        if (hits.isEmpty) { guard.skip(steps.length - consumed); Vector.empty }
-        else run {
-          val store   = lists(list)
-          val written = Vector.newBuilder[StoredMatch]
-          var h       = 0
-          while (h < hits.length) { written += store.extend(level, hits(h), hits(h + 1)); h += 2 }
-          written.result()
+          b.result()
         }
       }
-
-      val chain  = lists(i + 1)
-      val single = StoredMatch(sigma, Vector(sigma)) // the one-edge match {σ}
-      val delta: Vector[StoredMatch] =
-        if (j == 0) run(Vector(chain.insertRoot(single)))
-        else joinStep(Vector(single), one(i)(j), i + 1, j - 1, i + 1, j)
-
-      if (delta.nonEmpty && j == chain.numLevels - 1) {
-        if (k == 1) out ++= delta.map(sm => toMatch(resultIds, sm.edges))
-        else {
-          var cur =
-            if (i == 0) run(delta.map(lists(0).insertRoot))
-            else joinStep(delta, ids(i + 1)(j), 0, i - 1, 0, i)
-          var x = i + 1
-          while (x < k && cur.nonEmpty) {
-            cur = joinStep(cur, ids(0)(x - 1), x + 1, lists(x + 1).numLevels - 1, 0, x)
-            x += 1
+      joinOps.increment()
+      work += cands.length
+      val hits = mutable.ArrayBuffer[StoredMatch]() // compatible pairs as (parent, sub), flattened
+      if (workCap > 0 && work > workCap) {
+        if (!capped) { capped = true; cappedInserts.increment() }
+      } else {
+        pairTests.add(cands.length)
+        val bigIds = ids(read.list)(read.level)
+        val within = read.list == write.list
+        var a      = 0
+        var c      = 0
+        while (a < cur.length) {
+          val s   = cur(a)
+          val end = if (ends == null) cands.length else ends(a)
+          while (c < end) {
+            val m = cands(c)
+            if (Matching.crossCompatible(q, curIds, s.edges, bigIds, m.edges)) {
+              if (within) { hits += m; hits += s } else { hits += s; hits += m }
+            }
+            c += 1
           }
-          if (cur.nonEmpty) out ++= cur.map(sm => toMatch(resultIds, sm.edges))
+          a += 1
         }
       }
+      if (hits.isEmpty) { guard.skip(skip); Vector.empty }
+      else guard.exec(write, LockMode.X) {
+        val store   = lists(write.list)
+        val written = Vector.newBuilder[StoredMatch]
+        var h       = 0
+        while (h < hits.length) { written += store.extend(write.level, hits(h), hits(h + 1)); h += 2 }
+        written.result()
+      }
+    }
+
+    for ((i, j) <- positionsMatching(sigma)) {
+      // The current matches start as the one-edge match {σ}. An X step with
+      // no S before it inserts them as roots; an S step joins them with the
+      // item it reads and writes the pairs under the X step after it.
+      val steps  = groupSteps(i, j)
+      var cur    = Vector(StoredMatch(sigma, Vector(sigma)))
+      var curIds = one(i)(j)
+      var s      = 0
+      while (s < steps.length && cur.nonEmpty) {
+        val (key, mode) = steps(s)
+        val w           = if (mode == LockMode.X) s else s + 1 // the step that writes
+        val write       = steps(w)._1
+        cur =
+          if (w == s) guard.exec(key, mode)(cur.map(lists(key.list).insertRoot))
+          else joinStep(cur, curIds, key, write, steps.length - w)
+        curIds = ids(write.list)(write.level)
+        s = w + 1
+      }
+      // A group that ran to its end at the chain's last position wrote
+      // complete matches: of Q when k = 1, else the cascade's last L_0 item.
+      if (cur.nonEmpty && j == lists(i + 1).numLevels - 1) out ++= cur.map(sm => toMatch(resultIds, sm.edges))
     }
     out.result()
   }

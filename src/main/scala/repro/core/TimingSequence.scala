@@ -33,25 +33,21 @@ object TimingSequence {
     timingSequenceOf(q, q.edges.map(_.id).toSet).isDefined
 
   /** A prefix-connected permutation of all query edges *ignoring* timing
-    * (Definition 7) — used as a join/build order by baselines and by the
-    * Spark snapshot matcher. Deterministic: picks the smallest admissible
-    * edge id at each step.
+    * (Definition 7), starting at `first` if given: each step takes the
+    * admissible edge of least (`rank`, id). The default rank gives the
+    * deterministic join/build order of the baselines and the Spark snapshot
+    * matcher; the static matchers rank by candidate count.
     */
-  def connectivityOrder(q: QueryGraph): IndexedSeq[Int] = {
-    val remaining = scala.collection.mutable.SortedSet[Int](q.edges.map(_.id): _*)
-    val out       = scala.collection.mutable.ArrayBuffer[Int]()
-    val bound     = scala.collection.mutable.Set[Int]()
-    while (remaining.nonEmpty) {
-      val next = if (out.isEmpty) remaining.head
-      else remaining
-        .find { eid =>
-          val e = q.edgeById(eid); bound(e.src) || bound(e.dst)
-        }
-        .getOrElse(remaining.head) // unreachable for connected Q; safe fallback
-      remaining -= next
-      out += next
-      val e = q.edgeById(next)
-      bound += e.src; bound += e.dst
+  def connectivityOrder(q: QueryGraph, first: Option[Int] = None, rank: Int => Int = _ => 0): IndexedSeq[Int] = {
+    val byRank = q.edges.map(_.id).sortBy(eid => (rank(eid), eid))
+    val out    = scala.collection.mutable.ArrayBuffer[Int]()
+    val bound  = scala.collection.mutable.Set[Int]()
+    def push(eid: Int): Unit = { out += eid; val e = q.edgeById(eid); bound += e.src; bound += e.dst }
+    push(first.getOrElse(byRank.head))
+    while (out.length < byRank.length) {
+      val rest = byRank.filterNot(out.contains)
+      // the fallback is unreachable for a connected Q
+      push(rest.find { eid => val e = q.edgeById(eid); bound(e.src) || bound(e.dst) }.getOrElse(rest.head))
     }
     out.toIndexedSeq
   }

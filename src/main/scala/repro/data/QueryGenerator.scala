@@ -118,18 +118,10 @@ object QueryGenerator {
       windowSpan: Long,
       maxTries: Int = 400,
   ): Option[QueryGraph] = {
-    val rnd = new Random(seed)
-    if (k == 1 || k == size) {
-      val mode = if (k == 1) FullOrder else EmptyOrder
-      for (_ <- 0 until maxTries) {
-        fromStream(stream, size, mode, rnd.nextLong(), windowSpan).foreach { q =>
-          if (Decomposer.decompose(q).k == k) return Some(q)
-        }
-      }
-      return None
-    }
+    val rnd  = new Random(seed)
+    val mode = if (k == 1) FullOrder else if (k == size) EmptyOrder else RandomOrder
     for (_ <- 0 until maxTries) {
-      fromStream(stream, size, RandomOrder, rnd.nextLong(), windowSpan).foreach { q =>
+      fromStream(stream, size, mode, rnd.nextLong(), windowSpan).foreach { q =>
         if (Decomposer.decompose(q).k == k) return Some(q)
       }
     }

@@ -14,18 +14,21 @@ class EnginePlanSpec extends AnyFunSuite {
   private def engine = new TimingEngine(paperQ, Decomposer.decompose(paperQ), StoreMode.MsTree)
 
   /** A guard that records the key/mode sequence and verifies it against a
-    * plan prefix (skips = cancelled suffix steps).
+    * plan prefix (skips = cancelled suffix steps). `skipCalls` counts the
+    * `skip` calls: the benchmark's recorder counts one discard or abort per
+    * call.
     */
   private final class RecordingGuard(plan: Vector[(ItemKey, LockMode)]) extends Guard {
     var cursor            = 0
     var skipped           = 0
+    var skipCalls         = 0
     override def exec[A](key: ItemKey, mode: LockMode)(f: => A): A = {
       assert(cursor < plan.length, "executed past the plan")
       assert(plan(cursor) == (key, mode), s"step $cursor: planned ${plan(cursor)}, executed ($key,$mode)")
       cursor += 1
       f
     }
-    override def skip(n: Int): Unit = { cursor += n; skipped += n }
+    override def skip(n: Int): Unit = { cursor += n; skipped += n; skipCalls += 1 }
   }
 
   test("σ matching nothing has an empty insert/delete plan (Alg 3 CONTINUE)") {
@@ -137,6 +140,7 @@ class EnginePlanSpec extends AnyFunSuite {
     eng.insert(s5, guard)
     assert(guard.cursor == plan.length)
     assert(guard.skipped == 1, "the X step after the empty join is skipped")
+    assert(guard.skipCalls == 1, "one skip call cancels the rest of the group")
   }
 
   test("multi-position edges concatenate their group plans") {
@@ -173,6 +177,9 @@ class EnginePlanSpec extends AnyFunSuite {
           val guard = new RecordingGuard(plan)
           val out   = eng.insert(sigma, guard)
           assert(guard.cursor == plan.length, s"insert plan of $sigma")
+          // Each group writes one chain item and aborts at most once.
+          val chainWrites = plan.count { case (key, m) => key.list > 0 && m == X }
+          assert(guard.skipCalls <= chainWrites, s"insert of $sigma: ${guard.skipCalls} skip calls")
           out
         }
         override def delete(sigma: StreamEdge): Unit = {

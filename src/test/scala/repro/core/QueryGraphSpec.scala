@@ -141,6 +141,15 @@ class QueryGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("edge ids spanning more than 2^16 ids are rejected, not overflowed") {
+    for ((a, b) <- Seq((Int.MinValue, Int.MaxValue), (-5, Int.MaxValue - 10), (0, 1 << 20)))
+      intercept[IllegalArgumentException] {
+        QueryGraph(Seq(v(0, "A"), v(1, "B"), v(2, "C")), Seq(qe(a, 0, 1), qe(b, 1, 2)), Set((a, b)))
+      }
+    val widest = QueryGraph(Seq(v(0, "A"), v(1, "B"), v(2, "C")), Seq(qe(7, 0, 1), qe(7 + 65535, 1, 2)), Set.empty)
+    assert(widest.edgeById(7 + 65535).src == 1)
+  }
+
   test("transitive closure helper") {
     val c = QueryGraph.transitiveClosure(Set((1, 2), (2, 3), (3, 4)))
     assert(c == Set((1, 2), (2, 3), (3, 4), (1, 3), (1, 4), (2, 4)))
