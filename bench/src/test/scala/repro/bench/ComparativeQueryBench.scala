@@ -5,7 +5,8 @@ import repro.bench.BenchHarness._
 
 /** Tables T16 + T18 (paper Figs 16/18): throughput and average space of
   * the six methods while the query size varies; |W| fixed at 1500.
-  * (Paper: sizes 6–21 over 10K–50K windows; scaled to sizes 4–12.)
+  * (Paper: sizes 6–21 over 10K–50K windows; scaled to sizes 4–12.) Space
+  * is reported in cells and as retained heap, as T17 does.
   */
 class ComparativeQueryBench extends AnyFunSuite {
 
@@ -29,7 +30,12 @@ class ComparativeQueryBench extends AnyFunSuite {
           benchRunBest(mk, stream, window, maxEdges = budget)
         }
         (name, size) -> RunResult(
-          rs.map(_.edges).sum, rs.map(_.seconds).sum, mean(rs.map(_.avgCells)), rs.map(_.matches).sum)
+          rs.map(_.edges).sum,
+          rs.map(_.seconds).sum,
+          mean(rs.map(_.avgCells)),
+          rs.map(_.matches).sum,
+          mean(rs.map(_.heapBytes)),
+        )
       }).toMap
       printTable(
         s"T16 Throughput (edges/s) vs query size — $ds",
@@ -40,6 +46,11 @@ class ComparativeQueryBench extends AnyFunSuite {
         s"T18 Space (KB) vs query size — $ds",
         "method" +: sizes.map(s => s"|E(Q)|=$s"),
         names.map { case (n, _) => n +: sizes.map(s => fmt(results((n, s)).spaceKb)) },
+      )
+      printTable(
+        s"T18 Space, measured retained heap (KB) vs query size — $ds",
+        "method" +: sizes.map(s => s"|E(Q)|=$s"),
+        names.map { case (n, _) => n +: sizes.map(s => fmt(results((n, s)).heapKb)) },
       )
       if (ds == "traffic") sizes.foreach { s =>
         assert(results(("Timing", s)).throughput > results(("IncMat-TurboISO", s)).throughput,

@@ -7,7 +7,8 @@ import repro.data.QueryGenerator
 /** Tables T23 + T24 (paper Figs 23/24): throughput and space as the TC
   * decomposition size k varies, query size fixed at 6 (paper: 12),
   * |W| = 1500 (paper: 30,000). k=1 is a full timing order, k=6 an empty
-  * one, intermediate k via redrawn random orders (§VII-G).
+  * one, intermediate k via redrawn random orders (§VII-G). Space is
+  * reported in cells and as retained heap, as T17 does.
   */
 class DecompositionSizeBench extends AnyFunSuite {
 
@@ -40,6 +41,11 @@ class DecompositionSizeBench extends AnyFunSuite {
       "T24 Space (KB) vs decomposition size k — traffic-like",
       "method" +: ks.map(k => s"k=$k"),
       names.map { case (n, _) => n +: ks.map(k => fmt(results((n, k)).spaceKb)) },
+    )
+    printTable(
+      "T24 Space, measured retained heap (KB) vs decomposition size k — traffic-like",
+      "method" +: ks.map(k => s"k=$k"),
+      names.map { case (n, _) => n +: ks.map(k => fmt(results((n, k)).heapKb)) },
     )
     // shape: larger k should not shrink Timing's space (more L0 joining)
     val t1 = results(("Timing", 1)).spaceKb

@@ -303,14 +303,17 @@ final class TimingEngine(
       }
       // A group that ran to its end at the chain's last position wrote
       // complete matches: of Q when k = 1, else the cascade's last L_0 item.
-      if (cur.nonEmpty && j == lists(i + 1).numLevels - 1) out ++= cur.map(sm => toMatch(resultIds, sm.edges))
+      if (cur.nonEmpty && j == lists(i + 1).numLevels - 1) out ++= cur.map(sm => new MatchView(resultIds, sm.edges))
     }
     out.result()
   }
 
   override def delete(sigma: StreamEdge): Unit = delete(sigma, Guard.NoOp)
 
-  /** Algorithm 2 for σ, the oldest live edge (full level sweep; empty levels are O(1)). */
+  /** Algorithm 2 for σ, the oldest live edge (full level sweep; empty levels
+    * are O(1)). `L_0` starts from the complete subquery matches the chain's
+    * sweep removed, which its cursor took under the last chain item's lock.
+    */
   def delete(sigma: StreamEdge, guard: Guard): Unit = {
     for (i <- 0 until k if triggers(i, sigma)) {
       val chain     = lists(i + 1)
@@ -320,7 +323,7 @@ final class TimingEngine(
         completes = guard.exec(ItemKey(i + 1, j), LockMode.X)(expiry.processLevel(j))
       if (k > 1) {
         if (completes > 0) {
-          val jex = lists(0).newExpiry(sigma, i)
+          val jex = lists(0).newExpiry(sigma, i, expiry.removed)
           for (x <- i until k)
             guard.exec(ItemKey(0, x), LockMode.X)(jex.processLevel(x))
         } else guard.skip(k - i)
@@ -328,13 +331,13 @@ final class TimingEngine(
     }
   }
 
-  private def toMatch(ids: IndexedSeq[Int], edges: IndexedSeq[StreamEdge]): Matching.Match =
-    ids.zip(edges).toMap
-
-  /** Ω(Q): the last item of `L_0`, or of the only subquery's list when k = 1. */
+  /** Ω(Q): the last item of `L_0`, or of the only subquery's list when k = 1.
+    * Like the matches [[insert]] returns, each is a [[MatchView]] over its
+    * stored path.
+    */
   override def results: Vector[Matching.Match] = {
     val last = if (k == 1) lists(1) else lists(0)
-    last.read(last.numLevels - 1).map(sm => toMatch(resultIds, sm.edges))
+    last.read(last.numLevels - 1).map(sm => new MatchView(resultIds, sm.edges))
   }
 
   override def spaceCells: Long = lists.map(_.spaceCells).sum

@@ -8,7 +8,7 @@ import repro.core.StreamEdge
   * lengths and expiry scans each item for σ (no prefix sharing, no O(1)
   * subtree deletion). The same store serves a subquery's expansion list
   * and `L_0`. The caller sweeps exactly the levels an expiry can touch,
-  * so σ is all the scan needs and `from` is not used.
+  * so σ is all the scan needs and neither `from` nor `dead` is used.
   *
   * A level keyed by `keys(l)` (`null` for none) also files each match under
   * its key vertex for [[probe]]; an expiry that removes matches there
@@ -55,7 +55,7 @@ final class IndStore(keys: Array[VertexKey]) extends MatchStore {
   override def extend(level: Int, parent: StoredMatch, sub: StoredMatch): StoredMatch =
     add(level, parent.edges ++ sub.edges)
 
-  override def newExpiry(sigma: StreamEdge, from: Int): Expiry = level => {
+  override def newExpiry(sigma: StreamEdge, from: Int, dead: Iterable[AnyRef]): Expiry = level => {
     val before = items(level).length
     items(level).filterInPlace(m => !m.exists(_.id == sigma.id))
     val removed = before - items(level).length

@@ -15,10 +15,10 @@ final case class StoredMatch(ref: AnyRef, edges: IndexedSeq[StreamEdge])
   * binds the same query vertex on its other side probes one bucket.
   */
 final case class VertexKey(pos: Int, src: Boolean) {
-  def of(edges: IndexedSeq[StreamEdge]): Long = {
-    val e = edges(pos)
-    if (src) e.src else e.dst
-  }
+  def of(edges: IndexedSeq[StreamEdge]): Long = vertex(edges(pos))
+
+  /** The keyed endpoint of `e`, the edge at `pos`. */
+  def vertex(e: StreamEdge): Long = if (src) e.src else e.dst
 }
 
 /** Storage for one expansion list (§III). Level `l` (0-based) holds the
@@ -57,9 +57,12 @@ trait MatchStore {
   /** Start an expiry pass that removes every match containing σ, the oldest
     * live edge, at the levels `from until numLevels`. The caller must invoke
     * `processLevel(l)` for each of those levels in order (each under the
-    * item's X lock when concurrent).
+    * item's X lock when concurrent). For `L_0`, `dead` is what the expiry of
+    * subquery `from`'s list removed at its last level ([[Expiry.removed]]):
+    * the complete subquery matches σ ended, from which an MS-tree `L_0`
+    * starts. A chain list and [[IndStore]], which scans for σ, ignore it.
     */
-  def newExpiry(sigma: StreamEdge, from: Int): Expiry
+  def newExpiry(sigma: StreamEdge, from: Int, dead: Iterable[AnyRef] = Nil): Expiry
 
   /** Number of live matches at `level`. */
   def size(level: Int): Int
@@ -76,4 +79,10 @@ trait Expiry {
 
   /** Remove expired matches at `level`; returns how many were removed. */
   def processLevel(level: Int): Int
+
+  /** The `ref`s of the matches the last [[processLevel]] removed, taken
+    * under that level's lock and kept only by this cursor (an MS-tree's
+    * nodes; empty for a store that does not hand them out).
+    */
+  def removed: Iterable[AnyRef] = Nil
 }

@@ -31,7 +31,7 @@ final class MsChainStore(keys: Array[VertexKey]) extends MatchStore {
     StoredMatch(tree.add(parent.ref.asInstanceOf[MsNode[StreamEdge]], path.last, level, path), path)
   }
 
-  override def newExpiry(sigma: StreamEdge, from: Int): Expiry =
+  override def newExpiry(sigma: StreamEdge, from: Int, dead: Iterable[AnyRef]): Expiry =
     tree.sweep(l => if (l == 0) tree.oldest(0).filter(_.payload.id == sigma.id) else None)
 
   override def size(level: Int): Int = tree.levelSize(level)

@@ -9,12 +9,19 @@ import repro.core.StreamEdge
   * Besides child links, a node keeps a link to its parent and sits in a
   * per-level doubly linked list — the extra links the paper adds over a
   * plain trie (§IV-C). On a keyed level it also sits in the bucket of its
-  * `key` vertex. It stores no path: [[path]] backtracks its match. `alive`
-  * is volatile because the L0 tree reads leaf liveness across lock domains
-  * (§V-C); `payload`, `level`, `parent` and `key` are immutable (see the
-  * [[MsTree]] thread-safety contract).
+  * key vertex, which it does not store: [[at]] reads it again from the
+  * path. An `L_0` node, whose payload is a subquery leaf, sits in that
+  * leaf's referrer ring (`refPrev`/`refNext`, with the leaf as the ring's
+  * sentinel), so an expiry finds an `L_0` level's dead nodes from the
+  * leaves that died. It stores no path: [[path]] backtracks its match.
+  * `alive` is volatile because the L0 tree reads leaf liveness across lock
+  * domains (§V-C); `payload`, `level` and `parent` are immutable (see the
+  * [[MsTree]] thread-safety contract). Its eleven fields take 56 bytes with
+  * compressed references (JDK 17). Keep them there: a node 8 bytes larger
+  * raised the retained state of the dense and chain benchmark workloads by
+  * about 7%, which is why the key vertex is read again, not stored.
   */
-final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P], val key: Long) {
+final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P]) {
   @volatile var alive: Boolean = true
   var prev: MsNode[P]          = _
   var next: MsNode[P]          = _
@@ -22,6 +29,9 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P], val
   // `keyPrev` is the tail, so appending needs no tail map.
   private[store] var keyPrev: MsNode[P] = _
   private[store] var keyNext: MsNode[P] = _
+  // Ring links: null on a leaf until its first referrer, then the ring's ends.
+  private[store] var refPrev: MsNode[_] = _
+  private[store] var refNext: MsNode[_] = _
   // Allocated with the first child, so leaves never hold one.
   private[store] var kids: mutable.LinkedHashSet[MsNode[P]] = _
 
@@ -34,8 +44,27 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P], val
     */
   def path: Vector[Any] = { val a = new Array[AnyRef](width); fill(a, 0); Vector.from(ArraySeq.unsafeWrapArray(a)) }
 
-  private def width: Int =
-    (payload match { case leaf: MsNode[_] => leaf.width; case _ => 1 }) + (if (parent == null) 0 else parent.width)
+  /** `path(pos)`, read by walking up without building the path. */
+  private[store] def at(pos: Int): Any = at(pos, width)
+
+  /** On a subquery leaf: the `L_0` nodes whose payload it is, its ring. */
+  private[store] def referrers[R]: Iterator[MsNode[R]] = new Iterator[MsNode[R]] {
+    private var r = refNext
+    def hasNext: Boolean = r != null && (r ne MsNode.this)
+    def next(): MsNode[R] = { val n = r.asInstanceOf[MsNode[R]]; r = r.refNext; n }
+  }
+
+  /** The width of this node's own payload in [[path]]. */
+  private def own: Int = payload match { case leaf: MsNode[_] => leaf.width; case _ => 1 }
+
+  private def width: Int = own + (if (parent == null) 0 else parent.width)
+
+  /** `path(pos)`, given that this node's path ends before `end`. */
+  private def at(pos: Int, end: Int): Any = {
+    val start = end - own
+    if (pos < start) parent.at(pos, start)
+    else payload match { case leaf: MsNode[_] => leaf.at(pos - start); case p => p }
+  }
 
   /** Writes [[path]] into `a` from `from`; returns the index after it. */
   private def fill(a: Array[AnyRef], from: Int): Int = {
@@ -48,14 +77,19 @@ final class MsNode[P](val payload: P, val level: Int, val parent: MsNode[P], val
   * matches of expansion-list item `L^{i+1}`, with per-level doubly linked
   * lists for horizontal access and *partial removal* for concurrent safety.
   * A level with a key (`keys(level)`, `null` for none) also keeps a map from
-  * each key vertex to an intrusive bucket of that level's live nodes.
+  * each key vertex to an intrusive bucket of that level's live nodes. A
+  * tree whose payloads are another tree's leaves (`L_0`) links each node
+  * into its leaf's referrer ring.
   *
   * Thread-safety contract (matches the paper's item-lock granularity):
   *   - the level-`l` linked list and buckets, the `children` sets of
   *     level-`l-1` nodes, and the `alive` flags of level-`l` nodes are only
   *     mutated while the caller holds the X lock of expansion-list item
   *     `l+1`; [[probe]] only reads them;
-  *   - `payload`, `level`, `parent` and `key` are immutable, so
+  *   - the referrer rings of the leaves that level `l` refers to are only
+  *     mutated, and read by [[MsNode.referrers]], under that same X lock;
+  *     removing a leaf from its own tree leaves its ring alone;
+  *   - `payload`, `level` and `parent` are immutable, so
   *     backtracking a path upward is always safe, even through partially
   *     removed nodes — exactly the property Theorem 6 relies on.
   */
@@ -71,8 +105,8 @@ final class MsTree[P](keys: Array[VertexKey]) {
   locally {
     var l = 0
     while (l < numLevels) {
-      heads(l) = new MsNode[P](null.asInstanceOf[P], -1, null, 0L)
-      tails(l) = new MsNode[P](null.asInstanceOf[P], -1, null, 0L)
+      heads(l) = new MsNode[P](null.asInstanceOf[P], -1, null)
+      tails(l) = new MsNode[P](null.asInstanceOf[P], -1, null)
       heads(l).next = tails(l); tails(l).prev = heads(l)
       if (keys(l) != null) buckets(l) = new mutable.LongMap
       l += 1
@@ -83,11 +117,11 @@ final class MsTree[P](keys: Array[VertexKey]) {
 
   /** Append a node at `level` (root children when `parent == null`);
     * `path` is its root→node edges, from which a keyed level reads the key.
+    * A payload that is a node gets the new node as its last referrer.
     */
   def add(parent: MsNode[P], payload: P, level: Int, path: IndexedSeq[StreamEdge]): MsNode[P] = {
     require(level == (if (parent == null) 0 else parent.level + 1), "level/parent mismatch")
-    val b = buckets(level)
-    val n = new MsNode[P](payload, level, parent, if (b == null) 0L else keys(level).of(path))
+    val n = new MsNode[P](payload, level, parent)
     if (parent != null) {
       if (parent.kids == null) parent.kids = mutable.LinkedHashSet()
       parent.kids += n
@@ -95,10 +129,19 @@ final class MsTree[P](keys: Array[VertexKey]) {
     val t = tails(level)
     n.prev = t.prev; n.next = t
     t.prev.next = n; t.prev = n
+    val b = buckets(level)
     if (b != null) {
-      val h = b.getOrNull(n.key)
-      if (h == null) { n.keyPrev = n; b.update(n.key, n) }
+      val key = keys(level).of(path)
+      val h   = b.getOrNull(key)
+      if (h == null) { n.keyPrev = n; b.update(key, n) }
       else { h.keyPrev.keyNext = n; n.keyPrev = h.keyPrev; h.keyPrev = n }
+    }
+    payload match {
+      case leaf: MsNode[_] =>
+        if (leaf.refNext == null) { leaf.refNext = leaf; leaf.refPrev = leaf }
+        n.refNext = leaf; n.refPrev = leaf.refPrev
+        leaf.refPrev.refNext = n; leaf.refPrev = n
+      case _ =>
     }
     counts.incrementAndGet(level)
     n
@@ -131,10 +174,17 @@ final class MsTree[P](keys: Array[VertexKey]) {
     }
   }
 
+  /** The key vertex of `n`, on a keyed level, read from its path. */
+  private def keyOf(n: MsNode[P]): Long = {
+    val k = keys(n.level)
+    k.vertex(n.at(k.pos).asInstanceOf[StreamEdge])
+  }
+
   /** Partial removal (§V-C, Fig 14): unlink from the level list, the key
-    * bucket and the parent's child set; keep the upward pointer and the
-    * node's own child set so concurrent earlier readers can still backtrack
-    * and the deleter can still find the node's descendants.
+    * bucket, the parent's child set and, for an `L_0` node, its leaf's
+    * ring; keep the upward pointer and the node's own child set so
+    * concurrent earlier readers can still backtrack and the deleter can
+    * still find the node's descendants. A leaf keeps its own ring.
     */
   def partialRemove(n: MsNode[P]): Unit = {
     if (!n.alive) return
@@ -145,14 +195,18 @@ final class MsTree[P](keys: Array[VertexKey]) {
     if (b != null) {
       val next = n.keyNext
       if (n.keyPrev.keyNext ne n) { // n heads its bucket
-        if (next == null) b -= n.key
-        else { next.keyPrev = n.keyPrev; b.update(n.key, next) }
+        if (next == null) b -= keyOf(n)
+        else { next.keyPrev = n.keyPrev; b.update(keyOf(n), next) }
       } else {
         n.keyPrev.keyNext = next
         if (next != null) next.keyPrev = n.keyPrev
-        else b(n.key).keyPrev = n.keyPrev // n was the tail
+        else b(keyOf(n)).keyPrev = n.keyPrev // n was the tail
       }
       n.keyPrev = null; n.keyNext = null
+    }
+    if (n.payload.isInstanceOf[MsNode[_]]) {
+      n.refPrev.refNext = n.refNext; n.refNext.refPrev = n.refPrev
+      n.refPrev = null; n.refNext = null
     }
     if (n.parent != null) n.parent.kids -= n
     counts.decrementAndGet(n.level)
@@ -160,11 +214,15 @@ final class MsTree[P](keys: Array[VertexKey]) {
 
   /** Algorithm 2's level sweep: at each level, partially remove the live
     * children of the nodes removed one level up, plus the live `seeds` of
-    * that level. The caller steps through the levels in order.
+    * that level. The caller steps through the levels in order; the cursor's
+    * [[Expiry.removed]] holds the nodes removed at the last level it swept.
     */
-  def sweep(seeds: Int => Iterable[MsNode[P]]): Expiry = {
-    var removedPrev: List[MsNode[P]] = Nil
-    level => {
+  def sweep(seeds: Int => IterableOnce[MsNode[P]]): Expiry = new Expiry {
+    private var removedPrev: List[MsNode[P]] = Nil
+
+    override def removed: Iterable[AnyRef] = removedPrev
+
+    override def processLevel(level: Int): Int = {
       val targets = mutable.ArrayBuffer[MsNode[P]]()
       // Children of nodes removed one level up (read here, under this level's lock).
       removedPrev.foreach(n => if (n.kids != null) targets ++= n.kids)

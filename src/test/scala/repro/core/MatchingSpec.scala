@@ -139,6 +139,28 @@ class MatchingSpec extends AnyFunSuite {
     assert(agreeChecked > 30, s"only $agreeChecked comparable samples")
   }
 
+  test("a MatchView is the map of its pairs") {
+    val ids   = Vector(6, 3, 5, 1, 4, 2)
+    val view  = new MatchView(ids, emb)
+    val built = ids.zip(emb).toMap
+    assert(view == built && built == view)
+    assert(view.hashCode == built.hashCode)
+    assert(Matching.key(view) == Matching.key(built))
+    assert(ids.forall(id => view.get(id) == built.get(id)))
+    assert(Seq(0, 7, -1, Int.MaxValue).forall(id => view.get(id).isEmpty && !view.contains(id)))
+    val less = view.removed(6)
+    val more = view.updated(6, emb(1))
+    assert(less == built.removed(6) && more == built.updated(6, emb(1)))
+    assert(!less.isInstanceOf[MatchView] && !more.isInstanceOf[MatchView])
+    // the engine reports its matches as views, from insert and from results
+    Seq(StoreMode.MsTree, StoreMode.Independent).foreach { mode =>
+      val eng = new TimingEngine(paperQ, Decomposer.decompose(paperQ), mode)
+      val got = emb.flatMap(eng.insert)
+      assert(got.size == 1 && got.head.isInstanceOf[MatchView] && got.head == m, mode)
+      assert(eng.results == Vector(m) && eng.results.head.isInstanceOf[MatchView], mode)
+    }
+  }
+
   test("match keys are canonical") {
     val k1 = Matching.key(m)
     val k2 = Matching.key(m.toSeq.reverse.toMap)

@@ -65,11 +65,14 @@ class WindowPropertySpec extends AnyFunSuite {
     })
   }
 
-  test("a fine-grained concurrent engine (N=2) equals brute force at its quiesce points") {
+  /** A concurrent engine with `n` workers, fine-grained or All-locks, holds
+    * the brute force of its window whenever it is quiesced.
+    */
+  private def concurrentProperty(n: Int, fineGrained: Boolean): Unit =
     check(Prop.forAllNoShrink(cases) { c =>
       c.query.fold(Prop.undecided) { q =>
         val failed = decompositions(q, c.seed).iterator.map { case (dn, d) =>
-          val conc = new ConcurrentEngine(new TimingEngine(q, d, StoreMode.MsTree), 2)
+          val conc = new ConcurrentEngine(new TimingEngine(q, d, StoreMode.MsTree), n, fineGrained)
           try {
             val driver = new ConcurrentWindowDriver(conc, c.window)
             c.stream.indices.grouped(c.quiesceEvery).map { part =>
@@ -82,6 +85,17 @@ class WindowPropertySpec extends AnyFunSuite {
         Prop(failed.isEmpty) :| failed.getOrElse("")
       }
     })
+
+  test("a fine-grained concurrent engine (N=2) equals brute force at its quiesce points") {
+    concurrentProperty(2, fineGrained = true)
+  }
+
+  test("a fine-grained concurrent engine (N=4) equals brute force at its quiesce points") {
+    concurrentProperty(4, fineGrained = true)
+  }
+
+  test("an All-locks concurrent engine (N=4) equals brute force at its quiesce points") {
+    concurrentProperty(4, fineGrained = false)
   }
 }
 

@@ -150,7 +150,7 @@ class StoreSpec extends AnyFunSuite {
     assert((0 until 2).map(ex.processLevel) == Seq(1, 1) && chains(0).spaceCells == 0)
     val read = js.read(2)
     assert(read.map(_.edges) == Vector(full.edges) && (read.head.ref eq full.ref))
-    val jex = js.newExpiry(edge(1, 1), from = 0)
+    val jex = js.newExpiry(edge(1, 1), from = 0, ex.removed)
     assert((0 until 3).map(jex.processLevel) == Seq(1, 1, 1) && js.spaceCells == 0)
   }
 
@@ -165,10 +165,37 @@ class StoreSpec extends AnyFunSuite {
     // expire edge 1 in chain 0
     val ex = chains(0).newExpiry(edge(1, 1), from = 0)
     assert(ex.processLevel(0) == 1)
-    val jex = js.newExpiry(edge(1, 1), from = 0)
+    val jex = js.newExpiry(edge(1, 1), from = 0, ex.removed)
     assert(jex.processLevel(0) == 1)
     assert(jex.processLevel(1) == 1)
     assert(js.read(1).map(_.edges.map(_.id)) == Vector(Vector(2L, 7L)))
+  }
+
+  /** The referrer ring of a subquery leaf: the `L_0` nodes that hold it. */
+  private def ring(leaf: AnyRef): Vector[AnyRef] = leaf.asInstanceOf[MsNode[StreamEdge]].referrers[AnyRef].toVector
+
+  test("an L_0 node that dies through an earlier level leaves its live leaf's ring") {
+    val chains = IndexedSeq(new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(1)))
+    val js     = new MsJoinStore(unkeyed(2))
+    val a      = chains(0).insertRoot(one(edge(1, 1)))
+    val c      = chains(1).insertRoot(one(edge(2, 2)))
+    val b      = chains(0).insertRoot(one(edge(3, 3)))
+    val x      = js.extend(1, js.insertRoot(a), c)
+    val y      = js.extend(1, js.insertRoot(b), c)
+    assert(ring(c.ref) == Vector(x.ref, y.ref) && ring(a.ref).size == 1)
+    // edge 1 ends a, so x dies through level 0 while its own leaf c stays live
+    val ex = chains(0).newExpiry(edge(1, 1), from = 0)
+    assert(ex.processLevel(0) == 1 && ex.removed.toSeq == Seq(a.ref))
+    val jex = js.newExpiry(edge(1, 1), from = 0, ex.removed)
+    assert((0 until 2).map(jex.processLevel) == Seq(1, 1))
+    assert(chains(1).read(0).map(_.ref) == Vector(c.ref))
+    assert(ring(c.ref) == Vector(y.ref) && ring(a.ref).isEmpty)
+    // edge 2 ends c: the pass from level 1 removes only c's live referrer y
+    val cex = chains(1).newExpiry(edge(2, 2), from = 0)
+    assert(cex.processLevel(0) == 1)
+    val jex1 = js.newExpiry(edge(2, 2), from = 1, cex.removed)
+    assert(jex1.processLevel(1) == 1)
+    assert(ring(c.ref).isEmpty && js.size(0) == 1 && js.size(1) == 0 && js.spaceCells == 1)
   }
 
   test("IndStore expiry scans by membership") {
@@ -262,6 +289,16 @@ class StoreSpec extends AnyFunSuite {
     val rnd    = new scala.util.Random(23)
     val live   = scala.collection.mutable.ArrayBuffer[(StreamEdge, Int)]()
     val peak   = new Array[Int](3)
+    val leaves = IndexedSeq.fill(3)(scala.collection.mutable.ArrayBuffer[AnyRef]()) // every leaf of chain i
+    /** Each leaf's ring holds exactly the live L_0 nodes that refer to it: a
+      * dead leaf none, so no ring keeps a dead L_0 subtree reachable.
+      */
+    def ringsAgree(): Unit =
+      for (i <- 0 until 3; leaf <- leaves(i)) {
+        val holders = stores.head.read(i).map(_.ref).filter(_.asInstanceOf[MsNode[AnyRef]].payload eq leaf)
+        val r       = ring(leaf)
+        assert(r.size == holders.size && r.toSet == holders.toSet, s"ring of a chain-$i leaf")
+      }
     for (id <- 1L to 400L) {
       val e = denseEdge(rnd, id)
       rnd.nextInt(4) match {
@@ -270,7 +307,7 @@ class StoreSpec extends AnyFunSuite {
           val ex        = chains(i).newExpiry(gone, from = 0)
           (0 until chains(i).numLevels).foreach(ex.processLevel)
           stores.foreach { s =>
-            val jex = s.newExpiry(gone, from = i)
+            val jex = s.newExpiry(gone, from = i, ex.removed)
             (i until 3).foreach(jex.processLevel)
           }
         case r =>
@@ -279,6 +316,7 @@ class StoreSpec extends AnyFunSuite {
           val leaf =
             if (c.numLevels == 1) c.insertRoot(one(e))
             else c.extend(1, c.insertRoot(one(e)), one(denseEdge(rnd, id + 1000)))
+          leaves(i) += leaf.ref
           if (i == 0) stores.foreach(_.insertRoot(leaf))
           else {
             val n = stores.head.size(i - 1)
@@ -290,6 +328,7 @@ class StoreSpec extends AnyFunSuite {
           live += ((e, i))
       }
       backendsAgree(stores(0), stores(1), keys, 0 until 4)
+      ringsAgree()
       (0 until 3).foreach(l => peak(l) = math.max(peak(l), stores.head.size(l)))
     }
     assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
