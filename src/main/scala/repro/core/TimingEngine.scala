@@ -125,7 +125,7 @@ final class TimingEngine(
     var l = 0
     while (l <= k) {
       lists(l) = mode match {
-        case StoreMode.MsTree      => if (l == 0) new MsJoinStore(keys(0)) else new MsChainStore(keys(l))
+        case StoreMode.MsTree      => new MsTree(keys(l))
         case StoreMode.Independent => new IndStore(keys(l))
       }
       l += 1
@@ -310,24 +310,28 @@ final class TimingEngine(
 
   override def delete(sigma: StreamEdge): Unit = delete(sigma, Guard.NoOp)
 
-  /** Algorithm 2 for σ, the oldest live edge (full level sweep; empty levels
-    * are O(1)). `L_0` starts from the complete subquery matches the chain's
-    * sweep removed, which its cursor took under the last chain item's lock.
+  /** Algorithm 2 for σ, the oldest live edge. Each triggered group steps
+    * through its [[deletePlan]] steps: the chain's levels, then `L_0`'s from
+    * level `i`, which starts from the complete subquery matches the chain's
+    * cursor removed under the last chain item's lock. A level that loses
+    * nothing leaves nothing to lose below it (its next level holds only its
+    * own nodes' extensions, or `L_0` matches over no dead leaf), so the
+    * group stops there and cancels the rest of its steps.
     */
   def delete(sigma: StreamEdge, guard: Guard): Unit = {
     for (i <- 0 until k if triggers(i, sigma)) {
-      val chain     = lists(i + 1)
-      val expiry    = chain.newExpiry(sigma, 0)
-      var completes = 0 // removed from the last level, i.e. complete matches of subquery i
-      for (j <- 0 until chain.numLevels)
-        completes = guard.exec(ItemKey(i + 1, j), LockMode.X)(expiry.processLevel(j))
-      if (k > 1) {
-        if (completes > 0) {
-          val jex = lists(0).newExpiry(sigma, i, expiry.removed)
-          for (x <- i until k)
-            guard.exec(ItemKey(0, x), LockMode.X)(jex.processLevel(x))
-        } else guard.skip(k - i)
+      val n       = lists(i + 1).numLevels
+      val steps   = n + lists(0).numLevels - i
+      var expiry  = lists(i + 1).newExpiry(sigma, 0)
+      var removed = 1
+      var s       = 0
+      while (s < steps && removed > 0) {
+        if (s == n) expiry = lists(0).newExpiry(sigma, i, expiry.removed)
+        val key = if (s < n) ItemKey(i + 1, s) else ItemKey(0, i + s - n)
+        removed = guard.exec(key, LockMode.X)(expiry.processLevel(key.level))
+        s += 1
       }
+      if (s < steps) guard.skip(steps - s)
     }
   }
 

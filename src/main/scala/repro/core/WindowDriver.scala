@@ -4,9 +4,12 @@ import scala.collection.mutable
 
 /** The live edges of a time-based sliding window (Definition 2), shared by
   * both window drivers. Edges leave oldest first, so `expire` always gets
-  * the oldest live edge, as [[EngineApi.delete]] requires.
+  * the oldest live edge, as [[EngineApi.delete]] requires. `window` must be
+  * positive: a smaller one would expire every edge but the newest.
   */
 final class SlidingWindow(window: Long, expire: StreamEdge => Unit) {
+
+  require(window > 0, s"window $window is not positive (Definition 2)")
 
   private val live   = mutable.Queue[StreamEdge]()
   private var lastTs = Long.MinValue

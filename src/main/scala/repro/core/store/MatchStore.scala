@@ -32,8 +32,9 @@ final case class VertexKey(pos: Int, src: Boolean) {
   * for an unkeyed level); [[probe]] then returns the level's matches that
   * hold a given data vertex there.
   *
-  * Implementations: [[MsChainStore]] and [[MsJoinStore]] (MS-tree, §IV)
-  * and [[IndStore]] (independent match storage — the Timing-IND ablation).
+  * Implementations: [[MsTree]] (the MS-tree, §IV, for a subquery's list
+  * and `L_0` alike) and [[IndStore]] (independent match storage — the
+  * Timing-IND ablation).
   */
 trait MatchStore {
 
@@ -60,7 +61,8 @@ trait MatchStore {
     * item's X lock when concurrent). For `L_0`, `dead` is what the expiry of
     * subquery `from`'s list removed at its last level ([[Expiry.removed]]):
     * the complete subquery matches σ ended, from which an MS-tree `L_0`
-    * starts. A chain list and [[IndStore]], which scans for σ, ignore it.
+    * starts; a chain list passes none. [[IndStore]], which scans for σ,
+    * ignores it.
     */
   def newExpiry(sigma: StreamEdge, from: Int, dead: Iterable[AnyRef] = Nil): Expiry
 

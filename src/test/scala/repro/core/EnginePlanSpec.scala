@@ -132,6 +132,22 @@ class EnginePlanSpec extends AnyFunSuite {
     assert(eng.results.isEmpty)
   }
 
+  test("the expiry of a root with no children cancels the rest of its chain and L0 in one skip") {
+    for (mode <- Seq(StoreMode.MsTree, StoreMode.Independent)) {
+      val eng = new TimingEngine(paperQ, Decomposer.decompose(paperQ), mode)
+      val s6  = e(va, vb, 1) // ε6 heads the {ε6ε5ε4} chain; nothing extends it
+      eng.insert(s6)
+      val plan  = eng.deletePlan(s6)
+      val guard = new RecordingGuard(plan)
+      eng.delete(s6, guard)
+      // level 0 loses the root, level 1 loses nothing, and the group stops
+      assert(plan.length > 3 && plan.take(2).forall(_._1.list > 0), s"$mode")
+      assert(guard.cursor == plan.length && guard.skipped == plan.length - 2, s"$mode")
+      assert(guard.skipCalls == 1, s"$mode: one skip cancels the chain's last level and every L0 level")
+      assert(eng.spaceCells == 0, s"$mode")
+    }
+  }
+
   test("aborted groups skip the remainder of their planned steps") {
     val eng = engine
     val s5  = e(vb, vc, 1) // ε5 with empty predecessor: discardable

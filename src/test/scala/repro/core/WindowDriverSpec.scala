@@ -43,6 +43,16 @@ class WindowDriverSpec extends AnyFunSuite {
     assert(eng.results.size == 1, "only the fresh embedding remains")
   }
 
+  test("a window that is not positive is rejected by both drivers") {
+    for (window <- Seq(0L, -1L)) {
+      val eng = new TimingEngine(paperQ, Decomposer.decompose(paperQ), StoreMode.MsTree)
+      intercept[IllegalArgumentException](new WindowDriver(eng, window))
+      val conc = new ConcurrentEngine(eng, nThreads = 1)
+      try intercept[IllegalArgumentException](new ConcurrentWindowDriver(conc, window))
+      finally conc.shutdown()
+    }
+  }
+
   test("equal and decreasing timestamps are rejected (Definition 1)") {
     def paperEngine = new TimingEngine(paperQ, Decomposer.decompose(paperQ), StoreMode.MsTree)
     val eng    = paperEngine

@@ -5,33 +5,33 @@ import repro.core.StreamEdge
 
 class MsTreeSpec extends AnyFunSuite {
 
-  private def tree[P](numLevels: Int): MsTree[P] = new MsTree[P](new Array[VertexKey](numLevels))
+  private def tree(numLevels: Int): MsTree = new MsTree(new Array[VertexKey](numLevels))
   private val NoPath = Vector.empty[StreamEdge]
 
   test("paths share prefixes: one node per distinct prefix") {
-    val t  = tree[String](3)
+    val t  = tree(3)
     val s1 = t.add(null, "σ1", 0, NoPath)
     val s3 = t.add(s1, "σ3", 1, NoPath)
     val s4 = t.add(s3, "σ4", 2, NoPath)
     val s9 = t.add(s3, "σ9", 2, NoPath)
     // Fig 10: matches {σ1}, {σ1σ3}, {σ1σ3σ4}, {σ1σ3σ9} in 4 nodes
-    assert(t.liveCount == 4)
+    assert(t.spaceCells == 4)
     assert(s4.path == IndexedSeq("σ1", "σ3", "σ4"))
     assert(s9.path == IndexedSeq("σ1", "σ3", "σ9"))
     assert(t.levelNodes(2).map(_.payload) == Vector("σ4", "σ9"))
   }
 
   test("level lists enumerate nodes in insertion order") {
-    val t = tree[Int](2)
-    val roots = (1 to 5).map(i => t.add(null, i, 0, NoPath))
-    roots.foreach(r => t.add(r, r.payload * 10, 1, NoPath))
+    val t = tree(2)
+    val roots = (1 to 5).map(i => t.add(null, Int.box(i), 0, NoPath))
+    roots.foreach(r => t.add(r, Int.box(r.payload.asInstanceOf[Int] * 10), 1, NoPath))
     assert(t.levelNodes(0).map(_.payload) == Vector(1, 2, 3, 4, 5))
     assert(t.levelNodes(1).map(_.payload) == Vector(10, 20, 30, 40, 50))
-    assert(t.levelSize(0) == 5 && t.levelSize(1) == 5)
+    assert(t.size(0) == 5 && t.size(1) == 5)
   }
 
   test("partialRemove unlinks level list and parent's children but keeps upward path") {
-    val t  = tree[String](2)
+    val t  = tree(2)
     val p  = t.add(null, "p", 0, NoPath)
     val c1 = t.add(p, "c1", 1, NoPath)
     val c2 = t.add(p, "c2", 1, NoPath)
@@ -42,11 +42,11 @@ class MsTreeSpec extends AnyFunSuite {
     // upward pointer survives (Theorem 6's requirement)
     assert(c1.parent eq p)
     assert(c1.path == IndexedSeq("p", "c1"))
-    assert(t.liveCount == 2)
+    assert(t.spaceCells == 2)
   }
 
   test("removing a parent keeps its child set for descendant discovery") {
-    val t = tree[String](3)
+    val t = tree(3)
     val a = t.add(null, "a", 0, NoPath)
     val b = t.add(a, "b", 1, NoPath)
     val c = t.add(b, "c", 2, NoPath)
@@ -56,32 +56,32 @@ class MsTreeSpec extends AnyFunSuite {
     t.partialRemove(b)
     assert(b.children.toSet == Set(c))
     t.partialRemove(c)
-    assert(t.liveCount == 0)
+    assert(t.spaceCells == 0)
     (0 until 3).foreach(l => assert(t.levelNodes(l).isEmpty))
   }
 
   test("partialRemove is idempotent") {
-    val t = tree[String](1)
+    val t = tree(1)
     val a = t.add(null, "a", 0, NoPath)
     t.partialRemove(a)
     t.partialRemove(a)
-    assert(t.liveCount == 0)
+    assert(t.spaceCells == 0)
   }
 
   test("interleaved inserts and removals keep list integrity") {
-    val t     = tree[Int](1)
-    val nodes = (1 to 100).map(i => t.add(null, i, 0, NoPath))
-    nodes.filter(_.payload % 2 == 0).foreach(t.partialRemove)
+    val t     = tree(1)
+    val nodes = (1 to 100).map(i => t.add(null, Int.box(i), 0, NoPath))
+    nodes.filter(_.payload.asInstanceOf[Int] % 2 == 0).foreach(t.partialRemove)
     assert(t.levelNodes(0).map(_.payload) == (1 to 100 by 2).toVector)
-    val more = (101 to 110).map(i => t.add(null, i, 0, NoPath))
+    val more = (101 to 110).map(i => t.add(null, Int.box(i), 0, NoPath))
     assert(t.levelNodes(0).map(_.payload).takeRight(10) == (101 to 110).toVector)
-    assert(t.liveCount == 60)
+    assert(t.spaceCells == 60)
     more.foreach(t.partialRemove)
-    assert(t.liveCount == 50)
+    assert(t.spaceCells == 50)
   }
 
   test("level/parent mismatch rejected") {
-    val t = tree[String](2)
+    val t = tree(2)
     val a = t.add(null, "a", 0, NoPath)
     intercept[IllegalArgumentException](t.add(a, "b", 0, NoPath))
     intercept[IllegalArgumentException](t.add(null, "b", 1, NoPath))
@@ -89,9 +89,9 @@ class MsTreeSpec extends AnyFunSuite {
 
   // Keyed trees of edges: level `l` is keyed by the source of the path's edge `l`.
   private def edge(id: Long, src: Long): StreamEdge = StreamEdge(id, src, "A", id + 100, "B", "-", id)
-  private def keyed(numLevels: Int): MsTree[StreamEdge] =
-    new MsTree[StreamEdge](Array.tabulate(numLevels)(l => VertexKey(l, src = true)))
-  private def bucket(t: MsTree[StreamEdge], level: Int, v: Long): Seq[Long] =
+  private def keyed(numLevels: Int): MsTree =
+    new MsTree(Array.tabulate(numLevels)(l => VertexKey(l, src = true)))
+  private def bucket(t: MsTree, level: Int, v: Long): Seq[Long] =
     t.probe(level, v).map(_.edges.last.id)
 
   test("a bucket unlinks its head, middle and tail") {
@@ -135,7 +135,7 @@ class MsTreeSpec extends AnyFunSuite {
   }
 
   test("a leaf has an empty child set; the first child creates one") {
-    val t    = tree[String](2)
+    val t    = tree(2)
     val root = t.add(null, "r", 0, NoPath)
     assert(root.children.isEmpty)
     val leaf = t.add(root, "l", 1, NoPath)

@@ -3,9 +3,9 @@ package repro.core.store
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.StreamEdge
 
-/** Both chain-list MatchStore implementations must expose identical
-  * logical contents; MS-tree must use fewer (or equal) cells thanks to
-  * prefix sharing.
+/** Both MatchStore implementations must expose identical logical
+  * contents; MS-tree must use fewer (or equal) cells thanks to prefix
+  * sharing.
   */
 class StoreSpec extends AnyFunSuite {
 
@@ -18,7 +18,7 @@ class StoreSpec extends AnyFunSuite {
   private def unkeyed(numLevels: Int): Array[VertexKey] = new Array(numLevels)
 
   private def mkStores(numLevels: Int): Seq[MatchStore] =
-    Seq(new MsChainStore(unkeyed(numLevels)), new IndStore(unkeyed(numLevels)))
+    Seq(new MsTree(unkeyed(numLevels)), new IndStore(unkeyed(numLevels)))
 
   private def contents(s: MatchStore, j: Int): Set[Seq[Long]] =
     s.read(j).map(_.edges.map(_.id).toSeq).toSet
@@ -115,8 +115,8 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("join stores mirror chain contents (Ms references, Ind materializes)") {
-    val chains = IndexedSeq[MatchStore](new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)))
-    val js     = new MsJoinStore(unkeyed(2))
+    val chains = IndexedSeq(new MsTree(unkeyed(2)), new MsTree(unkeyed(1)))
+    val js     = new MsTree(unkeyed(2))
     val r      = chains(0).insertRoot(one(edge(1, 1)))
     val c0     = chains(0).extend(1, r, one(edge(3, 3)))
     val c1     = chains(1).insertRoot(one(edge(7, 7)))
@@ -135,8 +135,8 @@ class StoreSpec extends AnyFunSuite {
   }
 
   test("MS stores return the path they do not store, and backtrack it through removed nodes") {
-    val chains = IndexedSeq(new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(3)))
-    val js     = new MsJoinStore(unkeyed(3)) // an L_0 with k = 3
+    val chains = IndexedSeq(new MsTree(unkeyed(2)), new MsTree(unkeyed(1)), new MsTree(unkeyed(3)))
+    val js     = new MsTree(unkeyed(3)) // an L_0 with k = 3
     val c0     = chains(0).extend(1, chains(0).insertRoot(one(edge(1, 1))), one(edge(2, 2)))
     val c1     = chains(1).insertRoot(one(edge(3, 3)))
     val c2     = chains(2).extend(2, chains(2).extend(1, chains(2).insertRoot(one(edge(4, 4))), one(edge(5, 5))), one(edge(6, 6)))
@@ -154,9 +154,9 @@ class StoreSpec extends AnyFunSuite {
     assert((0 until 3).map(jex.processLevel) == Seq(1, 1, 1) && js.spaceCells == 0)
   }
 
-  test("MsJoinStore expiry follows dead chain leaves") {
-    val chains = IndexedSeq[MatchStore](new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(1)))
-    val js     = new MsJoinStore(unkeyed(2))
+  test("an MS-tree L_0 expiry follows dead chain leaves") {
+    val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(1)))
+    val js     = new MsTree(unkeyed(2))
     val c0a    = chains(0).insertRoot(one(edge(1, 1)))
     val c0b    = chains(0).insertRoot(one(edge(2, 2)))
     val c1     = chains(1).insertRoot(one(edge(7, 7)))
@@ -172,11 +172,11 @@ class StoreSpec extends AnyFunSuite {
   }
 
   /** The referrer ring of a subquery leaf: the `L_0` nodes that hold it. */
-  private def ring(leaf: AnyRef): Vector[AnyRef] = leaf.asInstanceOf[MsNode[StreamEdge]].referrers[AnyRef].toVector
+  private def ring(leaf: AnyRef): Vector[AnyRef] = leaf.asInstanceOf[MsNode].referrers.toVector
 
   test("an L_0 node that dies through an earlier level leaves its live leaf's ring") {
-    val chains = IndexedSeq(new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(1)))
-    val js     = new MsJoinStore(unkeyed(2))
+    val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(1)))
+    val js     = new MsTree(unkeyed(2))
     val a      = chains(0).insertRoot(one(edge(1, 1)))
     val c      = chains(1).insertRoot(one(edge(2, 2)))
     val b      = chains(0).insertRoot(one(edge(3, 3)))
@@ -196,6 +196,38 @@ class StoreSpec extends AnyFunSuite {
     val jex1 = js.newExpiry(edge(2, 2), from = 1, cex.removed)
     assert(jex1.processLevel(1) == 1)
     assert(ring(c.ref).isEmpty && js.size(0) == 1 && js.size(1) == 0 && js.spaceCells == 1)
+  }
+
+  test("an MS-tree expiry seeds only σ's level-0 head and the referrers of dead leaves") {
+    // A chain tree with no dead leaves: σ = edge 1 sits below the level-0
+    // head and in a later root, so nothing is seeded until it heads level 0.
+    val chain = new MsTree(unkeyed(2))
+    chain.extend(1, chain.insertRoot(one(edge(2, 2))), one(edge(1, 1)))
+    chain.insertRoot(one(edge(1, 1)))
+    assert(expireAll(chain, edge(1, 1), edge(2, 2), edge(1, 1)) == Seq(Seq(0, 0), Seq(1, 1), Seq(1, 0)))
+    assert(chain.spaceCells == 0)
+
+    // An L_0 tree: σ = edge 1 is on the backtracked path of x and of its
+    // root, the oldest node of level 0, yet only the referrers of the dead
+    // leaves and their subtrees go.
+    val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(1)))
+    val js     = new MsTree(unkeyed(2))
+    val a      = chains(0).insertRoot(one(edge(1, 1)))
+    val b      = chains(0).insertRoot(one(edge(3, 3)))
+    val c      = chains(1).insertRoot(one(edge(2, 2)))
+    val x      = js.extend(1, js.insertRoot(a), c)
+    val y      = js.extend(1, js.insertRoot(b), c)
+    def expire(from: Int, dead: AnyRef*): Seq[Int] = {
+      val ex = js.newExpiry(edge(1, 1), from, dead)
+      (from until 2).map(ex.processLevel)
+    }
+    assert(expire(0) == Seq(0, 0) && js.spaceCells == 4)
+    assert(expire(0, b.ref) == Seq(1, 1))
+    assert(js.read(0).map(_.edges.map(_.id)) == Vector(Vector(1L)))
+    assert(js.read(1).map(_.ref) == Vector(x.ref) && ring(c.ref) == Vector(x.ref))
+    // from level 1, the dead leaf c takes x but not x's live parent
+    assert(expire(1, c.ref) == Seq(1))
+    assert(js.size(0) == 1 && js.size(1) == 0 && ring(c.ref).isEmpty && !y.ref.asInstanceOf[MsNode].alive)
   }
 
   test("IndStore expiry scans by membership") {
@@ -253,7 +285,7 @@ class StoreSpec extends AnyFunSuite {
 
   test("chain stores: probe equals the keyed filter of read after interleaved inserts and expiries") {
     val keys   = Array(VertexKey(0, src = false), VertexKey(1, src = true), null)
-    val stores = Seq(new MsChainStore(keys), new IndStore(keys))
+    val stores = Seq(new MsTree(keys), new IndStore(keys))
     val rnd    = new scala.util.Random(17)
     val live   = scala.collection.mutable.ArrayBuffer[StreamEdge]()
     val peak   = new Array[Int](3)
@@ -282,10 +314,10 @@ class StoreSpec extends AnyFunSuite {
     assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
   }
 
-  test("MsJoinStore: probe equals the keyed filter of read after interleaved inserts and expiries") {
+  test("MS-tree L_0: probe equals the keyed filter of read after interleaved inserts and expiries") {
     val keys   = Array(VertexKey(0, src = true), VertexKey(2, src = false), null)
-    val chains = IndexedSeq(new MsChainStore(unkeyed(1)), new MsChainStore(unkeyed(2)), new MsChainStore(unkeyed(1)))
-    val stores = Seq(new MsJoinStore(keys), new IndStore(keys)) // an L_0 with k = 3
+    val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(2)), new MsTree(unkeyed(1)))
+    val stores = Seq(new MsTree(keys), new IndStore(keys)) // an L_0 with k = 3
     val rnd    = new scala.util.Random(23)
     val live   = scala.collection.mutable.ArrayBuffer[(StreamEdge, Int)]()
     val peak   = new Array[Int](3)
@@ -295,7 +327,7 @@ class StoreSpec extends AnyFunSuite {
       */
     def ringsAgree(): Unit =
       for (i <- 0 until 3; leaf <- leaves(i)) {
-        val holders = stores.head.read(i).map(_.ref).filter(_.asInstanceOf[MsNode[AnyRef]].payload eq leaf)
+        val holders = stores.head.read(i).map(_.ref).filter(_.asInstanceOf[MsNode].payload eq leaf)
         val r       = ring(leaf)
         assert(r.size == holders.size && r.toSet == holders.toSet, s"ring of a chain-$i leaf")
       }
