@@ -29,7 +29,8 @@ class OptimizationBench extends AnyFunSuite {
       (name, mkD) <- variants
     } yield {
       val thr = mean(for (q <- qs; s <- rdSeeds) yield {
-        benchRunBest(() => new TimingEngine(q, mkD(q, s), StoreMode.MsTree), stream, window).throughput
+        // throughput only, so no extra runs for a retained-heap median
+        benchRunBest(() => new TimingEngine(q, mkD(q, s), StoreMode.MsTree), stream, window, heapRuns = 0).throughput
       })
       (name, size) -> thr
     }).toMap

@@ -6,8 +6,9 @@ import scala.collection.immutable
   * edge `ids(i)` maps to `edges(i)`, where `edges` is the stored match's
   * root-to-leaf path (Def 10, §IV-A) and `ids` the query edges the engine
   * stores it by. A match is at most |E(Q)| pairs, so [[get]] searches the
-  * ids. Equality and `hashCode` are a map's, so a view equals the map of
-  * the same pairs; [[removed]] and [[updated]] return an ordinary map.
+  * ids, and [[foreach]] loops over the index. Equality and `hashCode` are a
+  * map's, so a view equals the map of the same pairs; [[removed]] and
+  * [[updated]] return an ordinary map.
   */
 final class MatchView(ids: IndexedSeq[Int], edges: IndexedSeq[StreamEdge])
     extends immutable.AbstractMap[Int, StreamEdge] {
@@ -22,6 +23,12 @@ final class MatchView(ids: IndexedSeq[Int], edges: IndexedSeq[StreamEdge])
   }
 
   override def iterator: Iterator[(Int, StreamEdge)] = ids.iterator.zip(edges.iterator)
+
+  /** Visits the pairs in [[iterator]]'s order by index, building no iterator. */
+  override def foreach[U](f: ((Int, StreamEdge)) => U): Unit = {
+    var i = 0
+    while (i < ids.length) { f((ids(i), edges(i))); i += 1 }
+  }
 
   override def size: Int      = ids.length
   override def knownSize: Int = ids.length

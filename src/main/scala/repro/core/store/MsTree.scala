@@ -8,24 +8,31 @@ import repro.core.StreamEdge
   *
   * Besides child links, a node keeps a link to its parent and sits in a
   * per-level doubly linked list — the extra links the paper adds over a
-  * plain trie (§IV-C). On a keyed level it also sits in the bucket of its
-  * key vertex, which it does not store: [[at]] reads it again from the
-  * path. Its payload is an edge in a chain list and a subquery leaf in
-  * `L_0`. An `L_0` node sits in its leaf's referrer ring
-  * (`refPrev`/`refNext`, with the leaf as the ring's sentinel), so an
-  * expiry finds an `L_0` level's dead nodes from the leaves that died. It
-  * stores no path: [[path]] backtracks its match.
-  * `alive` is volatile because the L0 tree reads leaf liveness across lock
-  * domains (§V-C); `payload`, `level` and `parent` are immutable (see the
-  * [[MsTree]] thread-safety contract). Its eleven fields take 56 bytes with
-  * compressed references (JDK 17). Keep them there: a node 8 bytes larger
-  * raised the retained state of the dense and chain benchmark workloads by
-  * about 7%, which is why the key vertex is read again, not stored.
+  * plain trie (§IV-C). Its children form an intrusive list: `firstKid`
+  * heads it and the children are linked by `sibPrev`/`sibNext` in insertion
+  * order (the first-child/next-sibling form of a trie). On a keyed level a
+  * node also sits in the bucket of its key vertex, which it does not store:
+  * [[at]] reads it again from the path. Its payload is an edge in a chain
+  * list and a subquery leaf in `L_0`. An `L_0` node sits in its leaf's
+  * referrer ring (`refPrev`/`refNext`, with the leaf as the ring's
+  * sentinel), so an expiry finds an `L_0` level's dead nodes from the
+  * leaves that died. It stores no path: [[path]] backtracks its match.
+  *
+  * `payload` and `parent` are immutable (see the [[MsTree]] thread-safety
+  * contract). The node's `level` and `alive` are derived, not stored:
+  * `level` is its depth, found by walking `parent`, and a node is alive
+  * while it has a `prev` link, which its partial removal nulls. No reader
+  * in another lock domain (§V-C) needs liveness: its only reader is
+  * `MsTree.partialRemove`'s idempotence check, under the level's X lock,
+  * so it is a plain read, not a volatile one.
+  * The node's eleven reference fields take 56 bytes with compressed
+  * references (JDK 17). Keep them there: a node 8 bytes larger raised the
+  * retained state of the dense and chain benchmark workloads by about 7%,
+  * which is why the key vertex is read again, not stored.
   */
-final class MsNode(val payload: AnyRef, val level: Int, val parent: MsNode) {
-  @volatile var alive: Boolean = true
-  var prev: MsNode             = _
-  var next: MsNode             = _
+final class MsNode(val payload: AnyRef, val parent: MsNode) {
+  var prev: MsNode = _
+  var next: MsNode = _
   // Bucket links: `keyNext` is null at the bucket's tail, and the head's
   // `keyPrev` is the tail, so appending needs no tail map.
   private[store] var keyPrev: MsNode = _
@@ -33,11 +40,30 @@ final class MsNode(val payload: AnyRef, val level: Int, val parent: MsNode) {
   // Ring links: null on a leaf until its first referrer, then the ring's ends.
   private[store] var refPrev: MsNode = _
   private[store] var refNext: MsNode = _
-  // Allocated with the first child, so leaves never hold one.
-  private[store] var kids: mutable.LinkedHashSet[MsNode] = _
+  // Child list: null on a leaf. Linked as a bucket is: `sibNext` is null at
+  // the tail, and the head's `sibPrev` is the tail.
+  private[store] var firstKid: MsNode = _
+  private[store] var sibPrev: MsNode  = _
+  private[store] var sibNext: MsNode  = _
 
-  /** The node's children; empty for a leaf. */
-  def children: collection.Set[MsNode] = if (kids == null) Set.empty else kids
+  /** The node's depth: 0 for a root. */
+  def level: Int = {
+    var l = 0
+    var p = parent
+    while (p != null) { l += 1; p = p.parent }
+    l
+  }
+
+  /** False once the node is partially removed. */
+  def alive: Boolean = prev != null
+
+  /** The node's children, in insertion order; empty for a leaf. */
+  def children: Seq[MsNode] = {
+    val b = Vector.newBuilder[MsNode]
+    var k = firstKid
+    while (k != null) { b += k; k = k.sibNext }
+    b.result()
+  }
 
   /** This node's match, read by backtracking (§IV-A): the payloads along
     * root→this, where a payload that is itself a node — an `L_0` reference
@@ -100,14 +126,17 @@ final class MsNode(val payload: AnyRef, val level: Int, val parent: MsNode) {
   * and no level is scanned.
   *
   * Thread-safety contract (matches the paper's item-lock granularity):
-  *   - the level-`l` linked list and buckets, the `children` sets of
-  *     level-`l-1` nodes, and the `alive` flags of level-`l` nodes are only
-  *     mutated while the caller holds the X lock of expansion-list item
-  *     `l+1`; [[probe]] only reads them;
+  *   - the level-`l` linked list and buckets, the sibling links of
+  *     level-`l` nodes, the `firstKid` of level-`l-1` nodes, and the `prev`
+  *     link whose nulling ends a level-`l` node's life are only mutated
+  *     while the caller holds the X lock of expansion-list item `l+1`;
+  *     [[probe]] only reads the buckets, and only an expiry of level `l`
+  *     walks those child lists;
   *   - the referrer rings of the leaves that level `l` refers to are only
   *     mutated, and read by [[MsNode.referrers]], under that same X lock;
   *     removing a leaf from its own tree leaves its ring alone;
-  *   - `payload`, `level` and `parent` are immutable, so
+  *   - `payload` and `parent` are immutable, and so is the depth they
+  *     give a node (`level`), so
   *     backtracking a path upward is always safe, even through partially
   *     removed nodes — exactly the property Theorem 6 relies on.
   */
@@ -123,8 +152,8 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
   locally {
     var l = 0
     while (l < numLevels) {
-      heads(l) = new MsNode(null, -1, null)
-      tails(l) = new MsNode(null, -1, null)
+      heads(l) = new MsNode(null, null)
+      tails(l) = new MsNode(null, null)
       heads(l).next = tails(l); tails(l).prev = heads(l)
       if (keys(l) != null) buckets(l) = new mutable.LongMap
       l += 1
@@ -135,14 +164,16 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
 
   /** Append a node at `level` (root children when `parent == null`);
     * `path` is its root→node edges, from which a keyed level reads the key.
-    * A payload that is a node gets the new node as its last referrer.
+    * The new node is its parent's last child, and a payload that is a node
+    * gets it as its last referrer.
     */
   private[store] def add(parent: MsNode, payload: AnyRef, level: Int, path: IndexedSeq[StreamEdge]): MsNode = {
     require(level == (if (parent == null) 0 else parent.level + 1), "level/parent mismatch")
-    val n = new MsNode(payload, level, parent)
+    val n = new MsNode(payload, parent)
     if (parent != null) {
-      if (parent.kids == null) parent.kids = mutable.LinkedHashSet()
-      parent.kids += n
+      val h = parent.firstKid
+      if (h == null) { n.sibPrev = n; parent.firstKid = n }
+      else { h.sibPrev.sibNext = n; n.sibPrev = h.sibPrev; h.sibPrev = n }
     }
     val t = tails(level)
     n.prev = t.prev; n.next = t
@@ -200,33 +231,35 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
     }
   }
 
-  /** The key vertex of `n`, on a keyed level, read from its path. */
-  private def keyOf(n: MsNode): Long = {
-    val k = keys(n.level)
+  /** The key vertex of `n`, on keyed `level`, read from its path. */
+  private def keyOf(n: MsNode, level: Int): Long = {
+    val k = keys(level)
     k.vertex(n.at(k.pos).asInstanceOf[StreamEdge])
   }
 
-  /** Partial removal (§V-C, Fig 14): unlink from the level list, the key
-    * bucket, the parent's child set and, for an `L_0` node, its leaf's
-    * ring; keep the upward pointer and the node's own child set so
-    * concurrent earlier readers can still backtrack and the deleter can
-    * still find the node's descendants. A leaf keeps its own ring.
+  /** Partial removal (§V-C, Fig 14) of `n` from `level`: unlink it from the
+    * level list, the key bucket, the parent's child list and, for an `L_0`
+    * node, its leaf's ring; keep the upward pointer and the node's own
+    * child list so concurrent earlier readers can still backtrack and the
+    * deleter can still find the node's descendants. A leaf keeps its own
+    * ring. Nulling `prev` marks the node dead, so a second call does
+    * nothing.
     */
-  private[store] def partialRemove(n: MsNode): Unit = {
+  private[store] def partialRemove(n: MsNode, level: Int): Unit = {
     if (!n.alive) return
-    n.alive = false
     n.prev.next = n.next
     n.next.prev = n.prev
-    val b = buckets(n.level)
+    n.prev = null
+    val b = buckets(level)
     if (b != null) {
       val next = n.keyNext
       if (n.keyPrev.keyNext ne n) { // n heads its bucket
-        if (next == null) b -= keyOf(n)
-        else { next.keyPrev = n.keyPrev; b.update(keyOf(n), next) }
+        if (next == null) b -= keyOf(n, level)
+        else { next.keyPrev = n.keyPrev; b.update(keyOf(n, level), next) }
       } else {
         n.keyPrev.keyNext = next
         if (next != null) next.keyPrev = n.keyPrev
-        else b(keyOf(n)).keyPrev = n.keyPrev // n was the tail
+        else b(keyOf(n, level)).keyPrev = n.keyPrev // n was the tail
       }
       n.keyPrev = null; n.keyNext = null
     }
@@ -234,8 +267,20 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
       n.refPrev.refNext = n.refNext; n.refNext.refPrev = n.refPrev
       n.refPrev = null; n.refNext = null
     }
-    if (n.parent != null) n.parent.kids -= n
-    counts.decrementAndGet(n.level)
+    val p = n.parent
+    if (p != null) {
+      val next = n.sibNext
+      if (p.firstKid eq n) {
+        p.firstKid = next
+        if (next != null) next.sibPrev = n.sibPrev
+      } else {
+        n.sibPrev.sibNext = next
+        if (next != null) next.sibPrev = n.sibPrev
+        else p.firstKid.sibPrev = n.sibPrev // n was the tail
+      }
+      n.sibPrev = null; n.sibNext = null
+    }
+    counts.decrementAndGet(level)
   }
 
   /** Algorithm 2's level sweep: at each level, partially remove the live
@@ -249,16 +294,14 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
     override def removed: Iterable[AnyRef] = last
 
     override def processLevel(level: Int): Int = {
-      // Child sets and rings hold only live nodes. Collect before removing:
-      // a removal edits the child set or ring being walked. A level with
-      // nothing to remove allocates nothing.
+      // Child lists and rings hold only live nodes. Collect before
+      // removing: a removal edits the child list or ring being walked. A
+      // level with nothing to remove allocates nothing.
       var hit: List[MsNode] = Nil
       var up                = last
       while (up.nonEmpty) {
-        if (up.head.kids != null) {
-          val it = up.head.kids.iterator
-          while (it.hasNext) hit = it.next() :: hit
-        }
+        var k = up.head.firstKid
+        while (k != null) { hit = k :: hit; k = k.sibNext }
         up = up.tail
       }
       if (level == from) {
@@ -273,7 +316,8 @@ final class MsTree(keys: Array[VertexKey]) extends MatchStore {
           while (it.hasNext) hit = it.next() :: hit
         }
       }
-      hit.foreach(partialRemove)
+      var h = hit
+      while (h.nonEmpty) { partialRemove(h.head, level); h = h.tail }
       last = hit
       hit.length
     }

@@ -161,6 +161,15 @@ class MatchingSpec extends AnyFunSuite {
     }
   }
 
+  test("a MatchView's foreach visits the iterator's pairs in the same order") {
+    val ids     = Vector(6, 3, 5, 1, 4, 2)
+    val view    = new MatchView(ids, emb)
+    val visited = Vector.newBuilder[(Int, StreamEdge)]
+    view.foreach(visited += _)
+    assert(visited.result() == view.iterator.toVector)
+    assert(visited.result() == ids.zip(emb))
+  }
+
   test("match keys are canonical") {
     val k1 = Matching.key(m)
     val k2 = Matching.key(m.toSeq.reverse.toMap)

@@ -35,7 +35,7 @@ class MsTreeSpec extends AnyFunSuite {
     val p  = t.add(null, "p", 0, NoPath)
     val c1 = t.add(p, "c1", 1, NoPath)
     val c2 = t.add(p, "c2", 1, NoPath)
-    t.partialRemove(c1)
+    t.partialRemove(c1, 1)
     assert(!c1.alive)
     assert(t.levelNodes(1).map(_.payload) == Vector("c2"))
     assert(p.children.toSet == Set(c2))
@@ -50,12 +50,12 @@ class MsTreeSpec extends AnyFunSuite {
     val a = t.add(null, "a", 0, NoPath)
     val b = t.add(a, "b", 1, NoPath)
     val c = t.add(b, "c", 2, NoPath)
-    t.partialRemove(a)
+    t.partialRemove(a, 0)
     // Fig 14: children remain discoverable from the removed node
     assert(a.children.toSet == Set(b))
-    t.partialRemove(b)
+    t.partialRemove(b, 1)
     assert(b.children.toSet == Set(c))
-    t.partialRemove(c)
+    t.partialRemove(c, 2)
     assert(t.spaceCells == 0)
     (0 until 3).foreach(l => assert(t.levelNodes(l).isEmpty))
   }
@@ -63,20 +63,20 @@ class MsTreeSpec extends AnyFunSuite {
   test("partialRemove is idempotent") {
     val t = tree(1)
     val a = t.add(null, "a", 0, NoPath)
-    t.partialRemove(a)
-    t.partialRemove(a)
+    t.partialRemove(a, 0)
+    t.partialRemove(a, 0)
     assert(t.spaceCells == 0)
   }
 
   test("interleaved inserts and removals keep list integrity") {
     val t     = tree(1)
     val nodes = (1 to 100).map(i => t.add(null, Int.box(i), 0, NoPath))
-    nodes.filter(_.payload.asInstanceOf[Int] % 2 == 0).foreach(t.partialRemove)
+    nodes.filter(_.payload.asInstanceOf[Int] % 2 == 0).foreach(t.partialRemove(_, 0))
     assert(t.levelNodes(0).map(_.payload) == (1 to 100 by 2).toVector)
     val more = (101 to 110).map(i => t.add(null, Int.box(i), 0, NoPath))
     assert(t.levelNodes(0).map(_.payload).takeRight(10) == (101 to 110).toVector)
     assert(t.spaceCells == 60)
-    more.foreach(t.partialRemove)
+    more.foreach(t.partialRemove(_, 0))
     assert(t.spaceCells == 50)
   }
 
@@ -100,15 +100,15 @@ class MsTreeSpec extends AnyFunSuite {
     val nodes = (1L to 5L).map(root(_, 7))
     val other = root(6, 8)
     assert(bucket(t, 0, 7) == Seq(1L, 2L, 3L, 4L, 5L))
-    t.partialRemove(nodes(0)) // head
+    t.partialRemove(nodes(0), 0) // head
     assert(bucket(t, 0, 7) == Seq(2L, 3L, 4L, 5L))
-    t.partialRemove(nodes(4)) // tail
+    t.partialRemove(nodes(4), 0) // tail
     assert(bucket(t, 0, 7) == Seq(2L, 3L, 4L))
-    t.partialRemove(nodes(2)) // middle
+    t.partialRemove(nodes(2), 0) // middle
     assert(bucket(t, 0, 7) == Seq(2L, 4L))
     val n7 = root(7, 7) // appends after the new tail
     assert(bucket(t, 0, 7) == Seq(2L, 4L, 7L))
-    Seq(nodes(1), nodes(3), n7).foreach(t.partialRemove)
+    Seq(nodes(1), nodes(3), n7).foreach(t.partialRemove(_, 0))
     assert(bucket(t, 0, 7).isEmpty)
     assert(bucket(t, 0, 8) == Seq(6L) && other.alive)
     val again = root(8, 7) // an emptied bucket starts afresh
@@ -122,7 +122,7 @@ class MsTreeSpec extends AnyFunSuite {
     val p  = t.add(null, pa(0), 0, pa)
     val q  = t.add(null, edge(2, 7), 0, Vector(edge(2, 7)))
     val c  = t.add(p, ca(1), 1, ca)
-    t.partialRemove(p)
+    t.partialRemove(p, 0)
     assert(bucket(t, 0, 7) == Seq(2L) && q.alive)
     assert(p.children.toSet == Set(c))
     assert(c.path == ca && (c.parent eq p))
@@ -130,7 +130,7 @@ class MsTreeSpec extends AnyFunSuite {
     assert(p.path == pa)
     // the child is still live, in its own bucket, until the sweep reaches it
     assert(bucket(t, 1, 9) == Seq(3L))
-    t.partialRemove(c)
+    t.partialRemove(c, 1)
     assert(bucket(t, 1, 9).isEmpty && c.path == ca)
   }
 
@@ -141,7 +141,38 @@ class MsTreeSpec extends AnyFunSuite {
     val leaf = t.add(root, "l", 1, NoPath)
     assert(leaf.children.isEmpty)
     assert(root.children.toSet == Set(leaf))
-    t.partialRemove(leaf)
+    t.partialRemove(leaf, 1)
     assert(root.children.isEmpty)
+  }
+
+  test("a child list unlinks its first, last and middle child") {
+    val t     = tree(2)
+    val p     = t.add(null, "p", 0, NoPath)
+    def kid(name: String) = t.add(p, name, 1, NoPath)
+    def names = p.children.map(_.payload)
+    val kids  = Vector("a", "b", "c", "d", "e").map(kid)
+    assert(names == Seq("a", "b", "c", "d", "e"))
+    assert(p.level == 0 && kids.forall(_.level == 1)) // the depth, read from the parents
+    t.partialRemove(kids(0), 1) // first
+    assert(names == Seq("b", "c", "d", "e"))
+    t.partialRemove(kids(4), 1) // last
+    assert(names == Seq("b", "c", "d"))
+    t.partialRemove(kids(2), 1) // middle
+    assert(names == Seq("b", "d"))
+    val f = kid("f") // appends after the new tail
+    assert(names == Seq("b", "d", "f"))
+    Seq(kids(1), kids(3), f).foreach(t.partialRemove(_, 1))
+    assert(p.children.isEmpty && kids.forall(!_.alive) && p.alive)
+    val g = kid("g") // an emptied list starts afresh
+    assert(names == Seq("g") && g.alive)
+  }
+
+  test("MsNode declares exactly eleven instance fields, all references") {
+    // 12-byte header + 11 compressed references = 56 bytes (JDK 17); one
+    // more field of any kind costs every node 8 bytes.
+    val fields = classOf[MsNode].getDeclaredFields.toSeq
+      .filterNot(f => java.lang.reflect.Modifier.isStatic(f.getModifiers))
+    assert(fields.size == 11, fields.map(_.getName))
+    assert(fields.forall(!_.getType.isPrimitive), fields.map(f => s"${f.getName}: ${f.getType}"))
   }
 }

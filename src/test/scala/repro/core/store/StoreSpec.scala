@@ -198,6 +198,33 @@ class StoreSpec extends AnyFunSuite {
     assert(ring(c.ref).isEmpty && js.size(0) == 1 && js.size(1) == 0 && js.spaceCells == 1)
   }
 
+  test("an L_0 node that dies through its own leaf leaves its live parent's child list") {
+    // Chain 1's leaves die in the order of their roots' edges, not in the
+    // order they were made, so L_0 children leave from the tail and the
+    // middle as well as from the head.
+    val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(2)))
+    val js     = new MsTree(unkeyed(2))
+    val roots  = (2L to 4L).map(id => chains(1).insertRoot(one(edge(id, id))))
+    def leaf(root: Int, id: Long): StoredMatch = chains(1).extend(1, roots(root), one(edge(id, id)))
+    val x      = js.insertRoot(chains(0).insertRoot(one(edge(9, 9))))
+    val parent = x.ref.asInstanceOf[MsNode]
+    val kids   = Seq(leaf(2, 5), leaf(1, 6), leaf(0, 7)).map(js.extend(1, x, _).ref) // over roots 4, 3, 2
+    def expire(id: Long): Unit = {
+      val ex = chains(1).newExpiry(edge(id, id), from = 0)
+      (0 until 2).foreach(ex.processLevel)
+      js.newExpiry(edge(id, id), from = 1, ex.removed).processLevel(1)
+    }
+    assert(parent.children == kids)
+    expire(2) // the tail's leaf
+    assert(parent.children == kids.take(2))
+    val later = js.extend(1, x, leaf(1, 8)).ref // appends after the new tail
+    assert(parent.children == kids.take(2) :+ later)
+    expire(3) // the middle's and the tail's leaves
+    assert(parent.children == kids.take(1))
+    expire(4) // the head's leaf
+    assert(parent.children.isEmpty && parent.alive && js.size(1) == 0)
+  }
+
   test("an MS-tree expiry seeds only σ's level-0 head and the referrers of dead leaves") {
     // A chain tree with no dead leaves: σ = edge 1 sits below the level-0
     // head and in a later root, so nothing is seeded until it heads level 0.
@@ -279,13 +306,24 @@ class StoreSpec extends AnyFunSuite {
     }
   }
 
+  /** Each live node of `t` lists exactly its live children, in insertion
+    * order: the next level's list, which is in insertion order, filtered
+    * by parent. A leaf lists none.
+    */
+  private def childListsAgree(t: MsTree, name: String): Unit =
+    for (l <- 0 until t.numLevels) {
+      val below = if (l + 1 < t.numLevels) t.levelNodes(l + 1) else Vector.empty
+      t.levelNodes(l).foreach(n => assert(n.children == below.filter(_.parent eq n), s"$name: children of a level-$l node"))
+    }
+
   /** Edges over 4 vertices, so buckets collide. */
   private def denseEdge(rnd: scala.util.Random, id: Long): StreamEdge =
     StreamEdge(id, rnd.nextInt(4).toLong, "A", rnd.nextInt(4).toLong, "A", "-", id)
 
   test("chain stores: probe equals the keyed filter of read after interleaved inserts and expiries") {
     val keys   = Array(VertexKey(0, src = false), VertexKey(1, src = true), null)
-    val stores = Seq(new MsTree(keys), new IndStore(keys))
+    val ms     = new MsTree(keys)
+    val stores = Seq(ms, new IndStore(keys))
     val rnd    = new scala.util.Random(17)
     val live   = scala.collection.mutable.ArrayBuffer[StreamEdge]()
     val peak   = new Array[Int](3)
@@ -309,6 +347,7 @@ class StoreSpec extends AnyFunSuite {
           live += e
       }
       backendsAgree(stores(0), stores(1), keys, 0 until 4)
+      childListsAgree(ms, "chain")
       (0 until 3).foreach(l => peak(l) = math.max(peak(l), stores.head.size(l)))
     }
     assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
@@ -317,7 +356,8 @@ class StoreSpec extends AnyFunSuite {
   test("MS-tree L_0: probe equals the keyed filter of read after interleaved inserts and expiries") {
     val keys   = Array(VertexKey(0, src = true), VertexKey(2, src = false), null)
     val chains = IndexedSeq(new MsTree(unkeyed(1)), new MsTree(unkeyed(2)), new MsTree(unkeyed(1)))
-    val stores = Seq(new MsTree(keys), new IndStore(keys)) // an L_0 with k = 3
+    val js     = new MsTree(keys)
+    val stores = Seq(js, new IndStore(keys)) // an L_0 with k = 3
     val rnd    = new scala.util.Random(23)
     val live   = scala.collection.mutable.ArrayBuffer[(StreamEdge, Int)]()
     val peak   = new Array[Int](3)
@@ -361,6 +401,8 @@ class StoreSpec extends AnyFunSuite {
       }
       backendsAgree(stores(0), stores(1), keys, 0 until 4)
       ringsAgree()
+      childListsAgree(js, "L_0")
+      chains.indices.foreach(i => childListsAgree(chains(i), s"chain $i"))
       (0 until 3).foreach(l => peak(l) = math.max(peak(l), stores.head.size(l)))
     }
     assert(peak.forall(_ > 4), s"every level holds several matches at some point: ${peak.toSeq}")
